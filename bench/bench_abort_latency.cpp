@@ -15,10 +15,8 @@
 // run_bench_suite embeds the same measurements into BENCH_RPQD.json.
 //
 // Environment knobs: RPQD_BENCH_REPEATS (default 5 here).
-#include <atomic>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -27,52 +25,6 @@
 
 using namespace rpqd;
 using namespace rpqd::bench;
-
-namespace {
-
-struct CancelSample {
-  double cancel_to_drained_ms = 0.0;
-  bool aborted = false;  // false: the query won the race; sample invalid
-};
-
-/// One cancel-to-drained measurement: start the query, let it get
-/// mid-flight, then time cancel_all() -> query returned. Only runs that
-/// actually aborted produce a valid sample (fast queries can win the
-/// race; callers retry).
-CancelSample measure_cancel(Database& db, const std::string& query,
-                            unsigned delay_us) {
-  QueryResult result;
-  std::atomic<bool> started{false};
-  std::thread runner([&] {
-    started.store(true, std::memory_order_release);
-    result = db.query(query);
-  });
-  while (!started.load(std::memory_order_acquire)) {
-  }
-  std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-  Stopwatch timer;
-  db.cancel_all();
-  runner.join();
-  return {timer.elapsed_ms(), result.aborted};
-}
-
-/// Median cancel-to-drained over `repeats` valid (actually-aborted)
-/// samples; gives up on a run shape too fast to ever catch mid-flight.
-double cancel_to_drained_ms(Database& db, const std::string& query,
-                            unsigned delay_us, int repeats, int* valid_out) {
-  std::vector<double> samples;
-  int attempts = 0;
-  while (static_cast<int>(samples.size()) < repeats &&
-         attempts < repeats * 10) {
-    ++attempts;
-    const CancelSample s = measure_cancel(db, query, delay_us);
-    if (s.aborted) samples.push_back(s.cancel_to_drained_ms);
-  }
-  if (valid_out != nullptr) *valid_out = static_cast<int>(samples.size());
-  return median(samples);
-}
-
-}  // namespace
 
 int main() {
   const int repeats = env_int("RPQD_BENCH_REPEATS", 5);

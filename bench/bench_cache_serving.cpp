@@ -1,15 +1,11 @@
-// Cross-query cache serving benchmark (DESIGN.md §11).
+// Result-cache serving benchmark (DESIGN.md §11).
 //
 // A Zipf(s)-distributed request stream over a pool of distinct RPQs is
-// replayed serially against three Database configurations:
+// replayed serially against two Database configurations:
 //
-//   cold   both caches off — every ask executes from scratch
-//   reach  reachability cache only (harvest on) — warm asks start from
-//          seeded per-source sentinels but still traverse; this row is
-//          the transparency control showing seeding alone is roughly
-//          latency-neutral (seeds are inert until visited)
-//   full   reach + result cache — a repeated normalized ask is served
-//          from the store without dispatching
+//   cold   result cache off — every ask executes from scratch
+//   full   result cache on — a repeated normalized ask is served from
+//          the store without dispatching
 //
 // The headline claim: at skew s = 1.2 (hot queries dominate, the
 // serving regime the cache targets) `full` improves MEAN latency by
@@ -31,7 +27,7 @@
 namespace {
 
 /// Distinct automata over the random graph's e0/e1 labels: closures,
-/// bounded windows, alternations, a reverse closure — all cache-eligible.
+/// bounded windows, alternations, a reverse closure.
 std::vector<std::string> query_pool(std::size_t limit) {
   std::vector<std::string> pool = {
       "SELECT COUNT(*) FROM MATCH (a) -/:e0*/-> (b)",
@@ -54,10 +50,6 @@ std::vector<std::string> query_pool(std::size_t limit) {
 rpqd::EngineConfig mode_config(const char* mode) {
   rpqd::EngineConfig cfg;
   cfg.workers_per_machine = 2;
-  if (std::string(mode) != "cold") {
-    cfg.reach_cache_max_bytes = 4u << 20;
-    cfg.reach_cache_harvest = true;
-  }
   if (std::string(mode) == "full") cfg.result_cache_max_bytes = 8u << 20;
   return cfg;
 }
@@ -83,11 +75,10 @@ int main() {
   gcfg.seed = bench_seed();
   const Graph graph = synthetic::make_random(gcfg);
 
-  print_header("cross-query cache serving (random:48:160, 3 machines)");
+  print_header("result cache serving (random:48:160, 3 machines)");
   std::printf("ops=%zu pool=%zu\n\n", ops, pool.size());
-  std::printf("%6s %6s %10s %10s %10s %8s %8s %8s %9s\n", "zipf", "mode",
-              "mean ms", "p50 ms", "p95 ms", "hits", "misses", "seeded",
-              "speedup");
+  std::printf("%6s %6s %10s %10s %10s %8s %8s %9s\n", "zipf", "mode",
+              "mean ms", "p50 ms", "p95 ms", "hits", "misses", "speedup");
 
   for (const double s : {0.0, 0.8, 1.2}) {
     const std::vector<std::size_t> stream =
@@ -95,24 +86,17 @@ int main() {
                                               static_cast<std::uint64_t>(
                                                   s * 10.0));
     double cold_mean = 0.0;
-    for (const char* mode : {"cold", "reach", "full"}) {
+    for (const char* mode : {"cold", "full"}) {
       Database db(graph, 3, mode_config(mode));
       const ServeStreamResult r = serve_stream(db, pool, stream);
       const ResultCacheStats rs = db.result_cache_stats();
-      std::uint64_t seeded = 0;
-      for (unsigned m = 0; m < db.num_machines(); ++m) {
-        if (const ReachCache* cache = db.reach_cache(m)) {
-          seeded += cache->stats().seed_reads;
-        }
-      }
       if (std::string(mode) == "cold") cold_mean = r.mean_ms;
       const double speedup =
           r.mean_ms > 0.0 && cold_mean > 0.0 ? cold_mean / r.mean_ms : 0.0;
-      std::printf("%6.1f %6s %10.3f %10.3f %10.3f %8llu %8llu %8llu %8.2fx\n",
-                  s, mode, r.mean_ms, r.p50_ms, r.p95_ms,
+      std::printf("%6.1f %6s %10.3f %10.3f %10.3f %8llu %8llu %8.2fx\n", s,
+                  mode, r.mean_ms, r.p50_ms, r.p95_ms,
                   static_cast<unsigned long long>(rs.hits),
-                  static_cast<unsigned long long>(rs.misses),
-                  static_cast<unsigned long long>(seeded), speedup);
+                  static_cast<unsigned long long>(rs.misses), speedup);
     }
     std::printf("\n");
   }

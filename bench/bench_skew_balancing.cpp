@@ -2,7 +2,7 @@
 // shape on a deep reply tree, run from an adversarial partition that
 // pins every vertex on machine 0, with and without the §14 remedies —
 // the profile-driven Repartitioner's proposed map plus hot-vertex
-// replication (delegated fan-out) and load-aware flushing. The second
+// replication (delegated fan-out). The second
 // scenario re-runs the same A/B on the default hash placement, where
 // the balancer has nothing to fix: arming it there is pure overhead and
 // must stay within the <= 1.05x budget.
@@ -94,7 +94,6 @@ int main() {
   base.buffers_per_machine = 256;
   EngineConfig armed = base;
   armed.hot_mirror_fanout = true;
-  armed.load_aware_flush = true;
 
   for (const unsigned machines : {8u, 16u}) {
     // Adversarial: every vertex on machine 0. The off arm stays there;

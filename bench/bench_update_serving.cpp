@@ -2,8 +2,8 @@
 //
 // A Zipf-distributed query stream over a pool of distinct RPQs is
 // interleaved with seeded edge-churn batches at increasing update rates
-// (updates per 16 stream slots), against a Database with both caches
-// on. Reported per rate:
+// (updates per 16 stream slots), against a Database with the result
+// cache on. Reported per rate:
 //
 //   - query latency (mean/p50/p95) — the cost of running against delta
 //     segments plus the cache re-warms that label-scoped invalidation
@@ -67,8 +67,6 @@ int main() {
   for (const unsigned rate : {0u, 1u, 2u, 4u, 8u}) {
     EngineConfig ec;
     ec.workers_per_machine = 2;
-    ec.reach_cache_max_bytes = 4u << 20;
-    ec.reach_cache_harvest = true;
     ec.result_cache_max_bytes = 8u << 20;
     Database db(graph, 3, ec);
     const LabelId e0 = *db.graph().catalog().find_edge_label("e0");

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -92,6 +93,38 @@ inline RoundRobinResult round_robin(Database& db,
 
 inline void print_header(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
+}
+
+// ---- query lifecycle (common/abort.h) -----------------------------------
+
+/// Median cancel-to-drained latency: start `query`, let it run for
+/// `delay_us`, then time cancel_all() -> query returned. Only runs that
+/// actually aborted are samples (fast queries can win the race), so it
+/// retries up to 10x `repeats` times and reports the valid sample count
+/// through `valid_out`.
+inline double cancel_to_drained_ms(Database& db, const std::string& query,
+                                   unsigned delay_us, int repeats,
+                                   int* valid_out = nullptr) {
+  std::vector<double> samples;
+  for (int attempt = 0;
+       static_cast<int>(samples.size()) < repeats && attempt < repeats * 10;
+       ++attempt) {
+    QueryResult result;
+    std::atomic<bool> started{false};
+    std::thread runner([&] {
+      started.store(true, std::memory_order_release);
+      result = db.query(query);
+    });
+    while (!started.load(std::memory_order_acquire)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+    Stopwatch timer;
+    db.cancel_all();
+    runner.join();
+    if (result.aborted) samples.push_back(timer.elapsed_ms());
+  }
+  if (valid_out != nullptr) *valid_out = static_cast<int>(samples.size());
+  return median(samples);
 }
 
 // ---- closed-loop concurrent serving (runtime/scheduler.h) --------------
@@ -194,7 +227,7 @@ inline ClosedLoopResult serial_baseline(Database& db,
   return out;
 }
 
-// ---- Zipf-distributed repeated-query serving (rpq/reach_cache.h) -------
+// ---- Zipf-distributed repeated-query serving (runtime/result_cache.h) --
 
 /// A request stream of `n` pool indices, Zipf(s)-distributed over `k`
 /// distinct queries (s = 0 is uniform). Rank r's weight is 1/(r+1)^s;

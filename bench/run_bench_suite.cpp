@@ -15,11 +15,9 @@
 //
 // The default scale factor here is deliberately small (0.25) so the
 // suite finishes in seconds; override with RPQD_BENCH_SF.
-#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -80,32 +78,6 @@ void append_json_row(std::string& out, const SuiteRow& row, bool last) {
 
 // ---- query-lifecycle rows (DESIGN.md §9, bench_abort_latency sibling) ----
 
-/// Median cancel_all() -> query-returned latency for one mid-flight
-/// cancel shape; only runs that actually aborted count as samples.
-double cancel_to_drained_ms(rpqd::Database& db, const std::string& query,
-                            int repeats) {
-  using namespace rpqd;
-  std::vector<double> samples;
-  for (int attempt = 0;
-       static_cast<int>(samples.size()) < repeats && attempt < repeats * 10;
-       ++attempt) {
-    QueryResult result;
-    std::atomic<bool> started{false};
-    std::thread runner([&] {
-      started.store(true, std::memory_order_release);
-      result = db.query(query);
-    });
-    while (!started.load(std::memory_order_acquire)) {
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    Stopwatch timer;
-    db.cancel_all();
-    runner.join();
-    if (result.aborted) samples.push_back(timer.elapsed_ms());
-  }
-  return rpqd::bench::median(samples);
-}
-
 struct AbortRow {
   std::string id;
   unsigned machines;
@@ -126,16 +98,15 @@ struct ServingRow {
   double speedup;       // throughput vs the serial baseline
 };
 
-/// One skew point of the cross-query cache A/B (bench_cache_serving is
-/// the standalone sibling with the per-mode reach/full breakdown).
+/// One skew point of the result-cache A/B (bench_cache_serving is the
+/// standalone sibling with p50/p95 columns).
 struct CacheRow {
   double zipf_s;
-  double cold_mean_ms;  // both caches off
-  double warm_mean_ms;  // reach + result cache on
+  double cold_mean_ms;  // result cache off
+  double warm_mean_ms;  // result cache on
   double speedup;
   std::uint64_t result_hits;
   std::uint64_t result_misses;
-  std::uint64_t reach_seeded;
 };
 
 /// One update-rate point of the online-update serving sweep
@@ -259,7 +230,7 @@ int main() {
   for (unsigned depth : {8u, 12u}) {
     Database db(synthetic::make_tree(2, depth), 4);
     const double ms = cancel_to_drained_ms(
-        db, "SELECT COUNT(*) FROM MATCH (v0:Root) -/:replyOf*/- (v1)",
+        db, "SELECT COUNT(*) FROM MATCH (v0:Root) -/:replyOf*/- (v1)", 200,
         repeats);
     abort_rows.push_back({"abort/tree:2:" + std::to_string(depth), 4, ms});
     std::printf("  %-20s %10.3f ms cancel-to-drained\n",
@@ -268,7 +239,7 @@ int main() {
   for (unsigned machines : {2u, 8u}) {
     Database db(synthetic::make_complete(12), machines);
     const double ms = cancel_to_drained_ms(
-        db, "SELECT COUNT(*) FROM MATCH (v0) -/:edge*/-> (v1)", repeats);
+        db, "SELECT COUNT(*) FROM MATCH (v0) -/:edge*/-> (v1)", 200, repeats);
     abort_rows.push_back(
         {"abort/complete:12", machines, ms});
     std::printf("  %-20s %10.3f ms cancel-to-drained (%u machines)\n",
@@ -335,12 +306,11 @@ int main() {
     }
   }
 
-  // Cross-query cache A/B (rpq/reach_cache.h, runtime/result_cache.h):
-  // one Zipf request stream per skew point, replayed cold (caches off)
-  // then warm (reach + result cache on). The s = 1.2 row carries the
-  // headline >= 1.5x mean-latency claim.
+  // Result-cache A/B (runtime/result_cache.h): one Zipf request stream
+  // per skew point, replayed cold (cache off) then warm (cache on). The
+  // s = 1.2 row carries the headline >= 1.5x mean-latency claim.
   std::vector<CacheRow> cache_rows;
-  print_header("cross-query cache serving (random:48:160, 3 machines)");
+  print_header("result cache serving (random:48:160, 3 machines)");
   {
     synthetic::RandomGraphConfig gcfg;
     gcfg.num_vertices = 48;
@@ -370,27 +340,18 @@ int main() {
       Database cold_db(cache_graph, 3, cold_cfg);
       const ServeStreamResult cold = serve_stream(cold_db, pool, stream);
       EngineConfig warm_cfg = cold_cfg;
-      warm_cfg.reach_cache_max_bytes = 4u << 20;
-      warm_cfg.reach_cache_harvest = true;
       warm_cfg.result_cache_max_bytes = 8u << 20;
       Database warm_db(cache_graph, 3, warm_cfg);
       const ServeStreamResult warm = serve_stream(warm_db, pool, stream);
       const ResultCacheStats rs = warm_db.result_cache_stats();
-      std::uint64_t seeded = 0;
-      for (unsigned m = 0; m < warm_db.num_machines(); ++m) {
-        if (const ReachCache* cache = warm_db.reach_cache(m)) {
-          seeded += cache->stats().seed_reads;
-        }
-      }
       const double speedup =
           warm.mean_ms > 0.0 ? cold.mean_ms / warm.mean_ms : 0.0;
-      cache_rows.push_back({s, cold.mean_ms, warm.mean_ms, speedup, rs.hits,
-                            rs.misses, seeded});
+      cache_rows.push_back(
+          {s, cold.mean_ms, warm.mean_ms, speedup, rs.hits, rs.misses});
       std::printf("  zipf %.1f  cold %8.3f ms  warm %8.3f ms  %5.2fx  "
-                  "(hits %llu, seeded %llu)\n",
+                  "(hits %llu)\n",
                   s, cold.mean_ms, warm.mean_ms, speedup,
-                  static_cast<unsigned long long>(rs.hits),
-                  static_cast<unsigned long long>(seeded));
+                  static_cast<unsigned long long>(rs.hits));
     }
   }
 
@@ -421,8 +382,6 @@ int main() {
     for (const unsigned rate : {0u, 2u, 8u}) {
       EngineConfig ucfg;
       ucfg.workers_per_machine = 2;
-      ucfg.reach_cache_max_bytes = 4u << 20;
-      ucfg.reach_cache_harvest = true;
       ucfg.result_cache_max_bytes = 8u << 20;
       Database db(update_graph, 3, ucfg);
       const LabelId e0 = *db.graph().catalog().find_edge_label("e0");
@@ -538,7 +497,7 @@ int main() {
   // Skew-aware balancing A/B (DESIGN.md §14): the table2 Q9 reply shape
   // on a deep reply tree, first from an adversarial all-on-machine-0
   // partition (off arm stays there; on arm adopts the profile-driven
-  // Repartitioner's map plus hot-vertex mirrors and load-aware flushes),
+  // Repartitioner's map plus hot-vertex mirrors),
   // then on the default hash placement where the balancer has nothing to
   // fix and arming it is pure overhead.
   std::vector<SkewRow> skew_rows;
@@ -552,7 +511,6 @@ int main() {
     skew_base.buffers_per_machine = 256;
     EngineConfig skew_armed = skew_base;
     skew_armed.hot_mirror_fanout = true;
-    skew_armed.load_aware_flush = true;
     // One off sample then one on sample per round; the per-round ratio
     // is the drift-cancelling estimator (the simulation multiplexes all
     // machines onto one host, so absolute wall-clock is noisy).
@@ -686,11 +644,10 @@ int main() {
         buf, sizeof buf,
         "    {\"zipf_s\": %.1f, \"cold_mean_ms\": %.3f, "
         "\"warm_mean_ms\": %.3f, \"speedup\": %.2f, \"result_hits\": %llu, "
-        "\"result_misses\": %llu, \"reach_seeded\": %llu}%s\n",
+        "\"result_misses\": %llu}%s\n",
         c.zipf_s, c.cold_mean_ms, c.warm_mean_ms, c.speedup,
         static_cast<unsigned long long>(c.result_hits),
         static_cast<unsigned long long>(c.result_misses),
-        static_cast<unsigned long long>(c.reach_seeded),
         i + 1 == cache_rows.size() ? "" : ",");
     json += buf;
   }

@@ -216,11 +216,11 @@ class Evaluator {
     const std::uint64_t cache_key =
         (edge_index << 40) | (from << 1) | (forward ? 1u : 0u);
     if (cacheable) {
-      const auto it = reach_cache_.find(cache_key);
-      if (it != reach_cache_.end()) return it->second;
+      const auto it = reachable_memo_.find(cache_key);
+      if (it != reachable_memo_.end()) return it->second;
     }
     auto result = reachable_uncached(e, from, forward, outer);
-    if (cacheable) reach_cache_.emplace(cache_key, result);
+    if (cacheable) reachable_memo_.emplace(cache_key, result);
     return result;
   }
 
@@ -374,7 +374,7 @@ class Evaluator {
   std::vector<const Expr*> filters_;
   std::unordered_map<const PathMacro*, std::vector<const Expr*>> macro_filters_;
   mutable std::unordered_map<std::uint64_t, std::unordered_set<VertexId>>
-      reach_cache_;
+      reachable_memo_;
   std::uint64_t count_ = 0;
 };
 

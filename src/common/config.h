@@ -133,16 +133,9 @@ struct EngineConfig {
   /// from below.
   double credit_partition_share = 1.0;
 
-  // ---- cross-query caching (DESIGN.md §11) -------------------------------
-  // Both caches default OFF (0 bytes): every existing single-query and
-  // concurrent-serving behavior is bit-identical until a budget is set.
-
-  /// Per-machine byte budget of the cross-query reachability cache:
-  /// (automaton-group hash, source, destination, depth) facts harvested
-  /// from completed runs and seeded into later runs' reachability indexes
-  /// as inert sentinels (48 bytes/entry accounting, LRU eviction,
-  /// epoch-based invalidation). 0 disables seeding and harvesting.
-  std::uint64_t reach_cache_max_bytes = 0;
+  // ---- result caching (DESIGN.md §11) ------------------------------------
+  // Defaults OFF (0 bytes): single-query and concurrent-serving behavior
+  // is unchanged until a budget is set.
 
   /// Byte budget of the full result cache keyed by normalized PGQL text
   /// (pgql/normalize.h). Repeated asks of the same normalized query
@@ -155,19 +148,13 @@ struct EngineConfig {
   /// (result_cache_max_bytes / 8).
   std::uint64_t result_cache_admit_max_bytes = 0;
 
-  /// Harvest reachability facts from clean (non-aborted, non-truncated)
-  /// runs back into the cross-query cache. Disable to run the cache
-  /// read-only (seed from whatever is cached, never write back).
-  bool reach_cache_harvest = true;
-
   // ---- online updates (DESIGN.md §12) ------------------------------------
 
   /// Auto-merge trigger: after Database::apply_update, when the snapshot
   /// holds at least this many delta adjacency entries, the deltas are
   /// folded into a fresh flat base (Database::merge_deltas). 0 = merge
   /// only on explicit request. A merge keeps the epoch — it changes the
-  /// representation, never the visible graph — but flushes the
-  /// reachability caches (partition rebuild remaps local vertex ids).
+  /// representation, never the visible graph.
   std::uint64_t delta_merge_entries = 0;
 
   // ---- reliable delivery over a lossy fabric (DESIGN.md §13) -------------
@@ -204,9 +191,9 @@ struct EngineConfig {
   unsigned ack_idle_ticks = 16;
 
   // ---- skew-aware load balancing (DESIGN.md §14) -------------------------
-  // Both knobs default OFF: the traversal and flush hot paths stay
-  // byte-identical to §13 until a caller arms them. Results are invariant
-  // either way — the differential harness asserts it.
+  // Defaults OFF: the traversal hot path stays byte-identical to §13
+  // until a caller arms it. Results are invariant either way — the
+  // differential harness asserts it.
 
   /// Delegated hot-vertex fan-out: when the pinned snapshot carries a
   /// MirrorSet (Database::set_hot_vertices), a kNeighbor frame on a hot
@@ -215,11 +202,6 @@ struct EngineConfig {
   /// peer enumerates its pre-bucketed slice locally. Hops with edge
   /// filters always enumerate normally (they need the owner's EvalCtx).
   bool hot_mirror_fanout = false;
-
-  /// Load-aware flush ordering: idle-path buffer flushes ship toward the
-  /// machine with the shallowest inbox backlog first (LoadBoard signal).
-  /// Ordering only — never drops, reroutes, or re-owns a context.
-  bool load_aware_flush = false;
 
   /// Deterministic seed for any randomized tie-breaking.
   std::uint64_t seed = 42;

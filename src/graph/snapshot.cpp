@@ -215,8 +215,8 @@ std::shared_ptr<const GraphSnapshot> GraphSnapshot::apply(
                                       return !ne.dropped;
                                     });
 
-  // Vertices whose adjacency (or existence) changed; their owners are the
-  // dirty partitions and their locals get patch rows rebuilt.
+  // Vertices whose adjacency (or existence) changed; their locals get
+  // patch rows rebuilt.
   std::unordered_set<VertexId> dirty_verts;
   for (const VertexId v : receipt.new_vertices) dirty_verts.insert(v);
   for (const VertexId v : killed) dirty_verts.insert(v);
@@ -228,15 +228,6 @@ std::shared_ptr<const GraphSnapshot> GraphSnapshot::apply(
   for (const auto& [src, dst] : deleted_endpoints) {
     dirty_verts.insert(src);
     dirty_verts.insert(dst);
-  }
-  {
-    std::vector<MachineId> parts;
-    for (const VertexId v : dirty_verts) {
-      parts.push_back(base.owner(v));
-    }
-    std::sort(parts.begin(), parts.end());
-    parts.erase(std::unique(parts.begin(), parts.end()), parts.end());
-    dirty.partitions = std::move(parts);
   }
 
   // ---- build the next snapshot -------------------------------------------
@@ -435,6 +426,10 @@ std::shared_ptr<const GraphSnapshot> GraphSnapshot::with_mirrors(
     // patch members; finalize re-wires them to this snapshot's copies.
     snap->views_[m].finalize(&snap->base_->partition(m));
   }
+  // The copied views still point at prev's mirror set, which this
+  // snapshot does not own: detach them first, or dropping mirrors (an
+  // empty `hot`) leaves them dangling once prev is released.
+  snap->attach_mirrors(nullptr);
   if (!hot.empty()) {
     snap->attach_mirrors(MirrorSet::build(*snap, std::move(hot), version));
   }

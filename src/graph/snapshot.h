@@ -25,8 +25,7 @@
 // keeps existing with alive() == false), inserts append fresh ids. Local
 // ids on a machine only grow between merges; a merge rebuilds the
 // partitions (dropping dead locals) and therefore invalidates every
-// local-id-keyed side structure — the engine bumps all reach-cache
-// generations at that point.
+// local-id-keyed side structure; none outlives a query.
 #pragma once
 
 #include <array>

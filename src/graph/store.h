@@ -73,8 +73,7 @@ class GraphStore {
   /// Folds all delta segments into a fresh flat base and publishes a
   /// delta-free snapshot at the SAME epoch (a merge changes no visible
   /// data). Returns false (and does nothing) when there are no deltas.
-  /// Local vertex ids are remapped by the rebuild, so the caller must
-  /// bump every reach-cache generation afterwards.
+  /// Local vertex ids are remapped by the rebuild.
   bool merge();
 
   // ---- skew-aware balancing (DESIGN.md §14) ------------------------------
@@ -89,10 +88,9 @@ class GraphStore {
 
   /// Adopts an explicit vertex→machine map: rebuilds the flat base under
   /// the map at the SAME epoch (folding any deltas, like merge()) and
-  /// publishes it. Local vertex ids are remapped, so the caller must
-  /// bump every reach-cache generation afterwards — exactly the merge()
-  /// contract. `assignment[v]` is v's new owner; vertices beyond the
-  /// vector (later inserts) fall back to the hash placement.
+  /// publishes it. Local vertex ids are remapped, exactly as by merge().
+  /// `assignment[v]` is v's new owner; vertices beyond the vector (later
+  /// inserts) fall back to the hash placement.
   void repartition(std::vector<MachineId> assignment);
 
   GraphStoreStats stats() const;

@@ -69,10 +69,9 @@ struct UpdateBatch {
 };
 
 /// What one applied batch touched — the coherence currency (DESIGN.md
-/// §12): reach caches bump per touched partition, the result cache
-/// evicts entries whose automaton scope intersects the dirtied labels.
+/// §12): the result cache evicts entries whose plan scope intersects the
+/// dirtied labels.
 struct DirtyScope {
-  std::vector<MachineId> partitions;   // sorted, unique
   std::vector<LabelId> vertex_labels;  // labels of inserted/deleted vertices
   std::vector<LabelId> edge_labels;    // labels of inserted/deleted edges
                                        // (incl. vertex-delete cascades)

@@ -1,7 +1,5 @@
 #include "plan/expr.h"
 
-#include <sstream>
-
 #include "common/error.h"
 
 namespace rpqd {
@@ -103,13 +101,6 @@ bool CompiledExpr::reads_edge() const {
   if (kind_ == Kind::kEdgeProp) return true;
   if (lhs_ && lhs_->reads_edge()) return true;
   if (rhs_ && rhs_->reads_edge()) return true;
-  return false;
-}
-
-bool CompiledExpr::reads_slot() const {
-  if (kind_ == Kind::kSlot) return true;
-  if (lhs_ && lhs_->reads_slot()) return true;
-  if (rhs_ && rhs_->reads_slot()) return true;
   return false;
 }
 
@@ -274,35 +265,6 @@ bool CompiledExpr::evaluate_bool(const EvalCtx& ctx) const {
   const EvalValue result = evaluate(ctx);
   return !result.is_null() && result.v.type == ValueType::kBool &&
          as_bool(result.v);
-}
-
-std::string CompiledExpr::debug_text() const {
-  // Canonical rendering: two expressions produce the same text iff they
-  // are structurally identical (operator identity, constant payloads and
-  // slot/prop ids included). The cross-query cache key hashes this text,
-  // so under-rendering here would alias semantically distinct filters.
-  std::ostringstream out;
-  switch (kind_) {
-    case Kind::kConst:
-      out << "const<" << static_cast<int>(const_value_.type) << ':'
-          << const_value_.bits << '>';
-      break;
-    case Kind::kConstText: out << '\'' << text_ << '\''; break;
-    case Kind::kSlot: out << "slot[" << slot_ << ']'; break;
-    case Kind::kCurrentProp: out << "cur.prop" << prop_; break;
-    case Kind::kCurrentId: out << "id(cur)"; break;
-    case Kind::kCurrentLabel: out << "label(cur)"; break;
-    case Kind::kEdgeProp: out << "edge.prop" << prop_; break;
-    case Kind::kUnary:
-      out << "un" << static_cast<int>(un_op_) << '(' << lhs_->debug_text()
-          << ')';
-      break;
-    case Kind::kBinary:
-      out << '(' << lhs_->debug_text() << " op" << static_cast<int>(bin_op_)
-          << ' ' << rhs_->debug_text() << ')';
-      break;
-  }
-  return out.str();
 }
 
 }  // namespace rpqd

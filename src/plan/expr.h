@@ -77,12 +77,6 @@ class CompiledExpr {
   bool reads_current() const;
   /// True if any node reads an edge property.
   bool reads_edge() const;
-  /// True if any node reads a context slot — such an expression's value
-  /// depends on the traversal's history, so a stage filtering on it is
-  /// not shareable across queries (cross-query cache eligibility).
-  bool reads_slot() const;
-
-  std::string debug_text() const;
 
   // Factories (used by the planner).
   static CompiledExpr constant(Value v);

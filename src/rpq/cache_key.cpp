@@ -1,112 +1,8 @@
 #include "rpq/cache_key.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <string>
-
-#include "common/hash.h"
 
 namespace rpqd {
-namespace {
-
-// FNV-1a over the canonical description, finished through mix64. A
-// string digest keeps the canonicalization auditable (sorted pieces are
-// plain text) and is far off any hot path — keys are computed once per
-// run, per group.
-std::uint64_t digest(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return mix64(h);
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu,",
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void append_sorted_labels(std::string& out, std::vector<LabelId> labels) {
-  std::sort(labels.begin(), labels.end());
-  out += "l[";
-  for (const LabelId l : labels) append_u64(out, l);
-  out += "]";
-}
-
-void append_sorted_filters(std::string& out,
-                           const std::vector<CompiledExpr>& filters) {
-  std::vector<std::string> texts;
-  texts.reserve(filters.size());
-  for (const auto& f : filters) texts.push_back(f.debug_text());
-  std::sort(texts.begin(), texts.end());
-  out += "f[";
-  for (const auto& t : texts) {
-    out += t;
-    out += ';';
-  }
-  out += "]";
-}
-
-}  // namespace
-
-std::vector<RpqGroupKey> rpq_group_cache_keys(const ExecPlan& plan) {
-  std::vector<RpqGroupKey> keys(plan.num_rpq_indexes);
-  for (const StagePlan& control : plan.stages) {
-    if (control.kind != StageKind::kRpqControl) continue;
-    RpqGroupKey& key = keys[control.rpq.index_id];
-
-    // Stages of this group in plan order; stage ids are mapped to
-    // group-relative ordinals so identical automatons embedded at
-    // different plan positions hash identically.
-    std::vector<StageId> members;
-    for (const StagePlan& sp : plan.stages) {
-      if (sp.id == control.id ||
-          (sp.kind == StageKind::kPath && sp.rpq_group == control.id)) {
-        members.push_back(sp.id);
-      }
-    }
-    const auto ordinal = [&members](StageId id) -> std::uint64_t {
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        if (members[i] == id) return i;
-      }
-      return ~std::uint64_t{0};  // hop leaving the group (continuation)
-    };
-
-    bool eligible = true;
-    std::string desc = "grp:";
-    append_u64(desc, control.rpq.min_hop);
-    append_u64(desc, control.rpq.max_hop);
-    for (const StageId id : members) {
-      const StagePlan& sp = plan.stages[id];
-      desc += sp.id == control.id ? "|ctl:" : "|path:";
-      append_sorted_labels(desc, sp.vlabels);
-      append_sorted_filters(desc, sp.filters);
-      for (const auto& f : sp.filters) eligible = eligible && !f.reads_slot();
-      if (sp.id == control.id) continue;  // control hop = emission side
-      desc += "h:";
-      append_u64(desc, static_cast<std::uint64_t>(sp.hop.kind));
-      append_u64(desc, static_cast<std::uint64_t>(sp.hop.dir));
-      append_u64(desc, ordinal(sp.hop.to));
-      append_u64(desc, sp.increments_depth ? 1 : 0);
-      append_sorted_labels(desc, sp.hop.elabels);
-      append_sorted_filters(desc, sp.hop.edge_filters);
-      for (const auto& f : sp.hop.edge_filters) {
-        eligible = eligible && !f.reads_slot();
-      }
-      // Exploration must not depend on bound vertices (context slots).
-      if (sp.hop.kind != HopKind::kNeighbor &&
-          sp.hop.kind != HopKind::kTransition) {
-        eligible = false;
-      }
-    }
-    key.hash = digest(desc);
-    key.eligible = eligible;
-  }
-  return keys;
-}
 
 ResultCacheScope result_cache_scope(const ExecPlan& plan) {
   ResultCacheScope scope;

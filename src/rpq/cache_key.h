@@ -1,40 +1,11 @@
-// Canonical cache identity of a plan's RPQ groups (DESIGN.md §11).
-//
-// The cross-query reachability cache keys facts by an AUTOMATON-GROUP
-// hash: a canonical digest of everything that determines a group's
-// exploration semantics — hop window (min/max), path-stage structure
-// (stage kinds and transition targets as group-relative ordinals), hop
-// kinds/directions, SORTED label alternations (so `:a|:b` and `:b|:a`
-// produce the same key — automaton-equivalent rewrites hit), and the
-// canonical text of vertex/edge filters (sorted within a stage, since
-// conjunction order is irrelevant). The hash covers exactly the plan
-// stages INSIDE the group: anything the planner evaluates there —
-// including the destination-label filter on the emit stage — is
-// conservatively part of the key, while everything outside the group is
-// excluded because it cannot affect which (source, destination, depth)
-// facts exploration discovers: the source-selection scan (facts are
-// per-source and a source's reachable set is start-set independent),
-// projections, and PROFILE. That exclusion is why `PROFILE Q` and `Q` —
-// and the same automaton under different source labels — share
-// reachability cache entries.
-//
-// A group is ELIGIBLE for cross-query caching only when its exploration
-// is slot-free: every filter/edge-filter in the group avoids context
-// slots and every path-stage hop is kNeighbor/kTransition (a
-// kEdge/kInspect hop targets a bound vertex — traversal history).
+// Label footprint of a plan for update-driven result-cache eviction
+// (DESIGN.md §11, §12).
 #pragma once
-
-#include <vector>
 
 #include "graph/update.h"
 #include "plan/plan.h"
-#include "rpq/reach_cache.h"
 
 namespace rpqd {
-
-/// One RpqGroupKey per reachability-index instance of the plan
-/// (index_id-indexed, size plan.num_rpq_indexes).
-std::vector<RpqGroupKey> rpq_group_cache_keys(const ExecPlan& plan);
 
 /// Label footprint of the whole plan, for update-driven result-cache
 /// eviction (DESIGN.md §12): the stage-0 scan's vertex labels plus every

@@ -175,22 +175,9 @@ ReachOutcome ReachabilityIndex::check_and_update(LocalVertexId dst,
         }
         if (ctrl == ready &&
             entry.rpid.load(std::memory_order_relaxed) == src_rpid) {
-          // Found: CAS-min on the depth word. A stored sentinel is a
-          // cross-query cache seed whose first visit this run must behave
-          // exactly like kNew; the CAS win claims that first visit (a
-          // concurrent loser re-reads the real depth and takes the normal
-          // eliminate/duplicate path, just as it would cold).
+          // Found: CAS-min on the depth word.
           std::uint32_t stored = entry.depth.load(std::memory_order_relaxed);
           while (true) {
-            if (stored == kSeedDepthSentinel) {
-              if (entry.depth.compare_exchange_weak(
-                      stored, depth, std::memory_order_acq_rel,
-                      std::memory_order_relaxed)) {
-                shard.seed_hits.fetch_add(1, std::memory_order_relaxed);
-                return ReachOutcome::kSeededNew;
-              }
-              continue;
-            }
             if (stored <= depth) {
               shard.eliminated.fetch_add(1, std::memory_order_relaxed);
               return ReachOutcome::kEliminated;
@@ -207,41 +194,6 @@ ReachOutcome ReachabilityIndex::check_and_update(LocalVertexId dst,
       }
     }
     seg = next_segment(seg, shard);  // window exhausted: spill
-  }
-}
-
-bool ReachabilityIndex::seed(LocalVertexId dst, std::uint64_t src_rpid) {
-  engine_check(dst < num_vertices_, "reach index: seed vertex out of range");
-  Shard& shard = shards_[mix64(dst) & shard_mask_];
-  const std::uint64_t hash = slot_hash(dst, src_rpid);
-  const std::uint64_t ready = ctrl_ready(dst);
-
-  Segment* seg = shard.head.load(std::memory_order_acquire);
-  while (true) {
-    Entry* entries = seg->entries();
-    const std::size_t mask = seg->capacity - 1;
-    for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
-      Entry& entry = entries[(hash + probe) & mask];
-      std::uint64_t ctrl = entry.ctrl.load(std::memory_order_acquire);
-      if (ctrl == kCtrlEmpty) {
-        std::uint64_t expected = kCtrlEmpty;
-        if (!entry.ctrl.compare_exchange_strong(expected, kCtrlBusy,
-                                                std::memory_order_acq_rel)) {
-          return false;  // lost a claim race: only callable pre-run anyway
-        }
-        entry.rpid.store(src_rpid, std::memory_order_relaxed);
-        entry.depth.store(kSeedDepthSentinel, std::memory_order_relaxed);
-        entry.ctrl.store(ready, std::memory_order_release);
-        shard.entries.fetch_add(1, std::memory_order_relaxed);
-        shard.seeded.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-      if (ctrl == ready &&
-          entry.rpid.load(std::memory_order_relaxed) == src_rpid) {
-        return false;  // key already present
-      }
-    }
-    seg = next_segment(seg, shard);  // pre-run: growth is off-hot-path
   }
 }
 
@@ -267,9 +219,7 @@ std::optional<Depth> ReachabilityIndex::lookup(LocalVertexId dst,
       if (ctrl == kCtrlEmpty) return std::nullopt;
       if (ctrl == ready &&
           entry.rpid.load(std::memory_order_relaxed) == src_rpid) {
-        const Depth depth = entry.depth.load(std::memory_order_relaxed);
-        if (depth == kSeedDepthSentinel) return std::nullopt;
-        return depth;
+        return entry.depth.load(std::memory_order_relaxed);
       }
     }
     seg = seg->next.load(std::memory_order_acquire);
@@ -313,8 +263,6 @@ ReachIndexStats ReachabilityIndex::stats() const {
     s.duplicated += shard.duplicated.load(std::memory_order_relaxed);
     s.hot_allocations += shard.hot_allocs.load(std::memory_order_relaxed);
     s.reserved_bytes += shard.reserved_bytes.load(std::memory_order_relaxed);
-    s.seeded += shard.seeded.load(std::memory_order_relaxed);
-    s.seed_hits += shard.seed_hits.load(std::memory_order_relaxed);
   }
   s.dynamic_bytes = s.entries * 12;  // 8B rpid + 4B depth, as in §4.4
   return s;

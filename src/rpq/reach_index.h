@@ -43,17 +43,7 @@ enum class ReachOutcome : std::uint8_t {
   kEliminated,  // already reached at a lower-or-equal depth: prune
   kDuplicated,  // already reached at a greater depth: update, keep
                 // exploring, but do not emit again
-  kSeededNew,   // first visit landed on a cross-query cache seed:
-                // semantically identical to kNew (emit + explore), only
-                // the cache hit counters differ — a stale or poisoned
-                // seed can never change a result, by construction
 };
-
-/// Depth sentinel stored by seed(): "known key, not yet visited this
-/// run". Real observed depths never reach it (max_hop caps exploration
-/// well below kUnboundedDepth), so the first visit always detects the
-/// seed and replaces the sentinel with the real depth.
-inline constexpr Depth kSeedDepthSentinel = kUnboundedDepth;
 
 struct ReachIndexStats {
   std::uint64_t entries = 0;
@@ -62,8 +52,6 @@ struct ReachIndexStats {
   std::uint64_t dynamic_bytes = 0;    // 12 bytes per entry (§4.4 arithmetic)
   std::uint64_t reserved_bytes = 0;   // slot memory actually reserved
   std::uint64_t hot_allocations = 0;  // heap allocations on the hot path
-  std::uint64_t seeded = 0;           // cross-query cache seeds installed
-  std::uint64_t seed_hits = 0;        // first visits that landed on a seed
 };
 
 class ReachabilityIndex {
@@ -83,40 +71,8 @@ class ReachabilityIndex {
   ReachOutcome check_and_update(LocalVertexId dst, std::uint64_t src_rpid,
                                 Depth depth);
 
-  /// Point lookup (tests / debugging). Seeded-but-unvisited entries read
-  /// as absent: the sentinel is bookkeeping, not an observation.
+  /// Point lookup (tests / debugging).
   std::optional<Depth> lookup(LocalVertexId dst, std::uint64_t src_rpid) const;
-
-  /// Installs a cross-query cache seed: a ready entry carrying the
-  /// kSeedDepthSentinel depth. Called by the machine during construction
-  /// (single-threaded, before workers spawn). Returns false when the key
-  /// already exists. Seeds are invisible to every semantic decision —
-  /// the first check_and_update on a seeded key returns kSeededNew,
-  /// which callers treat exactly like kNew.
-  bool seed(LocalVertexId dst, std::uint64_t src_rpid);
-
-  /// Quiescent iteration over every published entry (harvest). Skips
-  /// seeded entries never visited this run (sentinel depth). Call only
-  /// after the workers joined.
-  template <typename Fn>
-  void for_each_entry(Fn&& fn) const {
-    for (const auto& shard : shards_) {
-      const Segment* seg = shard.head.load(std::memory_order_acquire);
-      while (seg != nullptr) {
-        const Entry* entries = seg->entries();
-        for (std::size_t i = 0; i < seg->capacity; ++i) {
-          const std::uint64_t ctrl =
-              entries[i].ctrl.load(std::memory_order_acquire);
-          if (ctrl == 0 || ctrl == 1) continue;  // empty / busy
-          const Depth depth = entries[i].depth.load(std::memory_order_relaxed);
-          if (depth == kSeedDepthSentinel) continue;  // unvisited seed
-          fn(static_cast<LocalVertexId>(ctrl >> 2),
-             entries[i].rpid.load(std::memory_order_relaxed), depth);
-        }
-        seg = seg->next.load(std::memory_order_acquire);
-      }
-    }
-  }
 
   ReachIndexStats stats() const;
 
@@ -168,8 +124,6 @@ class ReachabilityIndex {
     std::atomic<std::uint64_t> duplicated{0};
     std::atomic<std::uint64_t> hot_allocs{0};
     std::atomic<std::uint64_t> reserved_bytes{0};
-    std::atomic<std::uint64_t> seeded{0};
-    std::atomic<std::uint64_t> seed_hits{0};
   };
 
   Segment* allocate_segment(std::size_t capacity, bool on_hot_path,

@@ -36,36 +36,4 @@ constexpr std::uint64_t rpid_seq(std::uint64_t rpid_source) {
   return rpid_source & kRpidSeqMask;
 }
 
-// ---- stable rpids (cross-query reachability cache) -----------------------
-//
-// Classic rpids are minted from a per-worker sequence, so the same source
-// vertex gets a different rpid on every run — useless as a cross-query
-// cache key. On cache-eligible runs the FIRST RPQ entry from a source
-// vertex instead gets a STABLE rpid that encodes the source vertex id
-// itself, under a reserved machine byte (0xff) no real machine can carry
-// (the engine disables the cache at >= 255 machines). Subsequent entries
-// from the same source fall back to classic rpids, preserving the §3.5
-// one-entry-per-traversal dedup contract. Stable rpids make index entries
-// derivable before the run (seeding) and decodable after it (harvest).
-
-inline constexpr std::uint64_t kStableRpidMarker = 0xffULL << 56;
-inline constexpr std::uint64_t kStableRpidVertexMask = (1ULL << 56) - 1;
-
-/// True when `vertex` fits the 56-bit stable encoding.
-constexpr bool stable_rpid_encodable(VertexId vertex) {
-  return (vertex & ~kStableRpidVertexMask) == 0;
-}
-
-constexpr std::uint64_t make_stable_rpid(VertexId source_vertex) {
-  return kStableRpidMarker | (source_vertex & kStableRpidVertexMask);
-}
-
-constexpr bool rpid_is_stable(std::uint64_t rpid_source) {
-  return (rpid_source & kStableRpidMarker) == kStableRpidMarker;
-}
-
-constexpr VertexId stable_rpid_vertex(std::uint64_t rpid_source) {
-  return rpid_source & kStableRpidVertexMask;
-}
-
 }  // namespace rpqd

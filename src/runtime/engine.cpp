@@ -8,7 +8,6 @@
 #include "common/stopwatch.h"
 #include "pgql/parser.h"
 #include "plan/planner.h"
-#include "rpq/cache_key.h"
 #include "runtime/aggregate.h"
 #include "runtime/machine.h"
 
@@ -187,32 +186,12 @@ QueryResult DistributedEngine::run_plan_cfg(
       cfg.retransmit_timeout_ticks, cfg.ack_idle_ticks});
   net.attach_abort(&abort);
 
-  // Cross-query reachability cache (DESIGN.md §11): build this run's
-  // per-machine contexts before the machines — their ctors seed eligible
-  // groups' indexes from the caches. Off unless the byte budget is set;
-  // also off when the §3.5 index itself is off (nothing to seed into)
-  // and at >= 255 machines (the stable-rpid marker byte — rpq/rpid.h).
-  const bool cache_on = cfg.reach_cache_max_bytes > 0 &&
-                        cfg.use_reachability_index &&
-                        plan.num_rpq_indexes > 0 && num_machines < 255;
-  std::vector<RpqGroupKey> group_keys;
-  std::vector<RunCacheContext> cache_ctx;
-  if (cache_on) {
-    ensure_reach_caches(cfg.reach_cache_max_bytes);
-    group_keys = rpq_group_cache_keys(plan);
-    cache_ctx.resize(num_machines);
-    for (unsigned m = 0; m < num_machines; ++m) {
-      cache_ctx[m] = RunCacheContext{reach_caches_[m].get(), &group_keys,
-                                     reach_caches_[m]->epoch()};
-    }
-  }
-
   std::vector<std::unique_ptr<MachineRuntime>> machines;
   machines.reserve(num_machines);
   for (unsigned m = 0; m < num_machines; ++m) {
     machines.push_back(std::make_unique<MachineRuntime>(
-        static_cast<MachineId>(m), &snap->view(m), &plan, &cfg,
-        &net, &abort, cache_on ? &cache_ctx[m] : nullptr));
+        static_cast<MachineId>(m), &snap->view(m), &plan, &cfg, &net,
+        &abort));
   }
 
   // Hot-vertex mirror arming (DESIGN.md §14): broadcast after the
@@ -411,10 +390,9 @@ QueryResult DistributedEngine::run_plan_cfg(
     stats.flow_overflow_outstanding += machine->flow().overflow_outstanding();
     stats.adfs_shared_tasks += machine->shared_task_count();
   }
-  // Skew-aware balancing (DESIGN.md §14): delegation counters, the
-  // flush-reorder count, and the per-machine load distribution with its
-  // imbalance ratio (max/mean of frames entered per machine).
-  stats.contexts_redirected = net.load_board().redirects();
+  // Skew-aware balancing (DESIGN.md §14): delegation counters and the
+  // per-machine load distribution with its imbalance ratio (max/mean of
+  // frames entered per machine).
   stats.machine_contexts.resize(num_machines, 0);
   std::uint64_t total_visits = 0;
   for (unsigned m = 0; m < num_machines; ++m) {
@@ -449,20 +427,6 @@ QueryResult DistributedEngine::run_plan_cfg(
       }
     }
     stats.rpq[g].consensus_max_depth = consensus;
-  }
-  for (const auto& r : stats.rpq) {
-    stats.reach_cache_seeded += r.index_seeded;
-    stats.reach_cache_seed_hits += r.index_seed_hits;
-  }
-  // Harvest ONLY clean runs: an aborted or truncated run's index holds
-  // facts whose exploration was cut short — complete-at-depth cannot be
-  // guaranteed, so nothing is persisted (asserted by the differential
-  // harness under crash-stop schedules).
-  if (cache_on && cfg.reach_cache_harvest && !result.aborted &&
-      !result.truncated) {
-    for (auto& machine : machines) {
-      stats.reach_cache_harvested += machine->harvest_reach_cache();
-    }
   }
   // EXPLAIN ANALYZE breakdown.
   stats.stages.resize(plan.stages.size());
@@ -500,57 +464,6 @@ QueryResult DistributedEngine::run_plan_cfg(
     prof.finish();
   }
   return result;
-}
-
-void DistributedEngine::ensure_reach_caches(
-    std::uint64_t max_bytes_per_machine) {
-  std::lock_guard lock(reach_cache_mutex_);
-  if (reach_caches_.empty()) {
-    reach_caches_.reserve(graph_->num_machines());
-    for (unsigned m = 0; m < graph_->num_machines(); ++m) {
-      reach_caches_.push_back(
-          std::make_unique<ReachCache>(max_bytes_per_machine));
-    }
-  } else {
-    // The knob may have changed between runs; re-apply (evicts eagerly).
-    for (auto& cache : reach_caches_) cache->set_budget(max_bytes_per_machine);
-  }
-}
-
-void DistributedEngine::bump_reach_cache_epoch() {
-  std::lock_guard lock(reach_cache_mutex_);
-  for (auto& cache : reach_caches_) cache->bump_epoch();
-}
-
-void DistributedEngine::bump_reach_cache_epochs(
-    const std::vector<MachineId>& machines) {
-  std::lock_guard lock(reach_cache_mutex_);
-  for (const MachineId m : machines) {
-    if (m < reach_caches_.size()) reach_caches_[m]->bump_epoch();
-  }
-}
-
-ReachCacheStats DistributedEngine::reach_cache_stats() const {
-  std::lock_guard lock(reach_cache_mutex_);
-  ReachCacheStats sum;
-  for (const auto& cache : reach_caches_) {
-    const ReachCacheStats s = cache->stats();
-    sum.entries += s.entries;
-    sum.bytes += s.bytes;
-    sum.inserts += s.inserts;
-    sum.refreshed += s.refreshed;
-    sum.evicted += s.evicted;
-    sum.seed_reads += s.seed_reads;
-    sum.epoch_rejects += s.epoch_rejects;
-    sum.invalidations += s.invalidations;
-  }
-  return sum;
-}
-
-ReachCache* DistributedEngine::reach_cache(unsigned machine) {
-  std::lock_guard lock(reach_cache_mutex_);
-  if (machine >= reach_caches_.size()) return nullptr;
-  return reach_caches_[machine].get();
 }
 
 unsigned DistributedEngine::cancel_all() {

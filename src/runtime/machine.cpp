@@ -44,15 +44,13 @@ void bump(std::vector<std::uint64_t>& v, Depth depth) {
 MachineRuntime::MachineRuntime(MachineId id, const PartitionView* partition,
                                const ExecPlan* plan,
                                const EngineConfig* config, Network* network,
-                               AbortController* abort,
-                               const RunCacheContext* cache)
+                               AbortController* abort)
     : id_(id),
       part_(partition),
       plan_(plan),
       config_(config),
       net_(network),
       abort_(abort),
-      cache_(cache),
       detector_(id, network->num_machines(),
                 static_cast<unsigned>(plan->stages.size()),
                 plan->num_rpq_indexes) {
@@ -83,20 +81,6 @@ MachineRuntime::MachineRuntime(MachineId id, const PartitionView* partition,
     indexes_.push_back(std::make_unique<ReachabilityIndex>(
         part_->num_local(), config->reach_index_preallocate,
         config->reach_index_shards));
-  }
-  if (cache_ != nullptr && cache_->cache != nullptr) {
-    // Seed eligible groups' indexes from the machine's persistent cache.
-    // Seeds are inert sentinels (rpq/reach_index.h): whatever the cache
-    // holds — stale, evicted-and-readded, even adversarially poisoned —
-    // can only move hit counters, never an emit/eliminate decision.
-    minted_.resize(plan->num_rpq_indexes);
-    for (unsigned g = 0; g < plan->num_rpq_indexes; ++g) {
-      const RpqGroupKey& key = (*cache_->keys)[g];
-      if (!key.eligible) continue;
-      for (const auto& e : cache_->cache->snapshot(key.hash)) {
-        indexes_[g]->seed(e.dst, make_stable_rpid(e.src));
-      }
-    }
   }
   for (unsigned w = 0; w < config->workers_per_machine; ++w) {
     auto worker = std::make_unique<Worker>();
@@ -253,7 +237,7 @@ bool MachineRuntime::enter_stage(Worker& w, RunState& rs, StageId stage,
     } else {
       // Entering the RPQ from outside: mint the rpid, start at depth 0
       // (0-hop matching is possible via the transition hop — §3.1).
-      rpid = mint_rpid(w, group, lv);
+      rpid = make_rpid_source(id_, w.id, ++w.rpid_seq);
       depth = 0;
     }
     const RpqControlPlan& rpq = sp.rpq;
@@ -284,10 +268,6 @@ bool MachineRuntime::enter_stage(Worker& w, RunState& rs, StageId stage,
           ++row.index_probes;
           switch (outcome) {
             case ReachOutcome::kNew: ++row.index_new; break;
-            case ReachOutcome::kSeededNew:
-              ++row.index_new;  // a seed hit IS a first visit
-              ++row.index_seed_hits;
-              break;
             case ReachOutcome::kDuplicated: ++row.index_duplicated; break;
             case ReachOutcome::kEliminated: ++row.index_eliminated; break;
           }
@@ -301,7 +281,6 @@ bool MachineRuntime::enter_stage(Worker& w, RunState& rs, StageId stage,
       }
       switch (outcome) {
         case ReachOutcome::kNew:
-        case ReachOutcome::kSeededNew:  // by construction: exactly kNew
           emit = true;
           explore = below_max;
           break;
@@ -802,41 +781,16 @@ void MachineRuntime::flush_all(Worker& w) {
     pending.push_back(std::move(buf));
   }
   w.out.clear();
-  if (config_->load_aware_flush && pending.size() > 1) {
-    // §14 balance signal: ship work toward underloaded machines first.
-    // Ordering only — every buffer still flushes in this call, so the
-    // result set and all accounting identities are untouched.
-    const LoadBoard& board = net_->load_board();
-    std::vector<std::int64_t> load(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      load[i] = board.queued(pending[i].dest);
-    }
-    std::vector<std::size_t> order(pending.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return load[a] < load[b];
-                     });
-    std::vector<OutBuffer> sorted;
-    sorted.reserve(pending.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      // Advanced ahead of its buffer-map position = one redirect.
-      if (order[i] > i) net_->load_board().note_redirect();
-      sorted.push_back(std::move(pending[order[i]]));
-    }
-    pending = std::move(sorted);
-  }
   for (auto& buf : pending) flush_buffer(w, std::move(buf));
 }
 
 std::optional<CreditClass> MachineRuntime::acquire_credit_blocking(
     Worker& w, MachineId dest, StageId stage, Depth depth) {
   std::optional<Stopwatch> starved;
-  // Time from the first failed try_acquire to the eventual grant (nested
-  // pickup work included — the paper's "worker diverted by flow control"
-  // interval). Feeds the profile's per-credit-class stall attribution
-  // and the LoadBoard's per-machine starvation signal (§14); constructed
-  // only on the already-slow blocked path.
+  // Profiling: time from the first failed try_acquire to the eventual
+  // grant (nested pickup work included — that is the paper's "worker
+  // diverted by flow control" interval), attributed to the credit class
+  // that resolved the stall. Never constructed with profiling off.
   std::optional<Stopwatch> stall;
   unsigned backoff = 0;
   while (true) {
@@ -851,16 +805,10 @@ std::optional<CreditClass> MachineRuntime::acquire_credit_blocking(
     // waiter wakes promptly.
     if (halted()) return std::nullopt;
     if (const auto credit = flow_->try_acquire(dest, stage, depth)) {
-      if (stall) {
-        const double ms = stall->elapsed_ms();
-        if (w.prof) w.prof->note_stall(*credit, ms);
-        // §14 balance signal: cumulative per-machine starvation time.
-        net_->load_board().note_stall_us(
-            id_, static_cast<std::uint64_t>(ms * 1000.0));
-      }
+      if (w.prof && stall) w.prof->note_stall(*credit, stall->elapsed_ms());
       return credit;
     }
-    if (!stall) stall.emplace();
+    if (w.prof && !stall) stall.emplace();
     // Pickup rule (iii): when flow control prevents sending, process
     // incoming messages (bounded nesting).
     if (w.nesting < config_->max_pickup_nesting) {
@@ -907,11 +855,8 @@ std::optional<CreditClass> MachineRuntime::acquire_credit_blocking(
     } else if (starved->elapsed_seconds() > 5.0) {
       RPQD_WARN << "machine " << static_cast<int>(id_)
                 << ": emergency flow-control credit for stage " << stage;
-      if (stall) {
-        const double ms = stall->elapsed_ms();
-        if (w.prof) w.prof->note_stall(CreditClass::kEmergency, ms);
-        net_->load_board().note_stall_us(
-            id_, static_cast<std::uint64_t>(ms * 1000.0));
+      if (w.prof && stall) {
+        w.prof->note_stall(CreditClass::kEmergency, stall->elapsed_ms());
       }
       return flow_->acquire_emergency();
     }
@@ -1258,53 +1203,10 @@ RpqStageStats MachineRuntime::rpq_stats(unsigned group) const {
   stats.index_entries = idx.entries;
   stats.index_bytes = idx.dynamic_bytes;
   stats.index_hot_allocs = idx.hot_allocations;
-  stats.index_seeded = idx.seeded;
-  stats.index_seed_hits = idx.seed_hits;
   // Post-run duplicate audit (§3.5 invariant: one entry per (dst, rpid)).
   stats.index_duplicate_entries = indexes_[group]->duplicate_entries();
   stats.max_depth_observed = detector_.local_max_depth(group);
   return stats;
-}
-
-// -------------------------------------------- cross-query cache (§11) --
-
-std::uint64_t MachineRuntime::mint_rpid(Worker& w, int group,
-                                        LocalVertexId lv) {
-  if (cache_ != nullptr && cache_->cache != nullptr &&
-      (*cache_->keys)[static_cast<unsigned>(group)].eligible) {
-    const VertexId source = part_->to_global(lv);
-    if (stable_rpid_encodable(source)) {
-      std::lock_guard<std::mutex> lock(minted_mutex_);
-      if (minted_[static_cast<unsigned>(group)].insert(source).second) {
-        return make_stable_rpid(source);
-      }
-    }
-  }
-  return make_rpid_source(id_, w.id, ++w.rpid_seq);
-}
-
-std::uint64_t MachineRuntime::harvest_reach_cache() {
-  if (cache_ == nullptr || cache_->cache == nullptr) return 0;
-  std::uint64_t harvested = 0;
-  for (unsigned g = 0; g < indexes_.size(); ++g) {
-    const RpqGroupKey& key = (*cache_->keys)[g];
-    if (!key.eligible) continue;
-    indexes_[g]->for_each_entry(
-        [&](LocalVertexId dst, std::uint64_t rpid, Depth depth) {
-          if (!rpid_is_stable(rpid)) return;
-          if (cache_->cache->insert(key.hash, stable_rpid_vertex(rpid), dst,
-                                    depth, cache_->epoch)) {
-            ++harvested;
-          }
-        });
-  }
-  return harvested;
-}
-
-std::uint64_t MachineRuntime::reach_cache_seeded() const {
-  std::uint64_t sum = 0;
-  for (const auto& index : indexes_) sum += index->stats().seeded;
-  return sum;
 }
 
 }  // namespace rpqd

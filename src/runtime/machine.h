@@ -22,17 +22,14 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/config.h"
 #include "graph/snapshot.h"
 #include "net/network.h"
 #include "plan/plan.h"
-#include "rpq/reach_cache.h"
 #include "rpq/reach_index.h"
 #include "runtime/aggregate.h"
 #include "runtime/context.h"
@@ -44,14 +41,9 @@ namespace rpqd {
 
 class MachineRuntime {
  public:
-  /// `cache` (optional) opts this run into the cross-query reachability
-  /// cache (DESIGN.md §11): the ctor seeds eligible groups' indexes from
-  /// the machine's persistent cache; the engine calls
-  /// harvest_reach_cache() after a clean drain.
   MachineRuntime(MachineId id, const PartitionView* partition,
                  const ExecPlan* plan, const EngineConfig* config,
-                 Network* network, AbortController* abort,
-                 const RunCacheContext* cache = nullptr);
+                 Network* network, AbortController* abort);
 
   /// Body of one worker thread. Returns when the query has globally
   /// terminated.
@@ -76,16 +68,6 @@ class MachineRuntime {
   /// termination rounds into the query tree. No-op unless the config had
   /// profiling on. Called once by the engine, after workers join.
   void merge_profile(QueryProfile& out) const;
-
-  /// Persists this run's stable-rpid reachability facts into the
-  /// machine's cross-query cache (eligible groups only; sentinel seeds
-  /// that were never visited are skipped). Called by the engine ONLY
-  /// after a clean drain — an aborted or truncated run's index may hold
-  /// incomplete-at-depth facts and is never harvested. Returns the
-  /// number of facts newly persisted.
-  std::uint64_t harvest_reach_cache();
-  /// Sentinel entries planted at construction (0 with the cache off).
-  std::uint64_t reach_cache_seeded() const;
 
   /// Contexts this machine discarded on the abort path (unsent buffer
   /// contents, unprocessed inbox batches, dropped shared tasks).
@@ -232,13 +214,6 @@ class MachineRuntime {
   // ---- idle / termination driving ----
   bool machine_idle() const;
 
-  /// Mints the rpid for an RPQ entered from outside. On cache-eligible
-  /// runs the FIRST entry per (group, source vertex) on this machine
-  /// gets the source's stable rpid (rpq/rpid.h) so its facts can be
-  /// seeded/harvested across queries; every later entry from the same
-  /// source gets a classic per-worker rpid.
-  std::uint64_t mint_rpid(Worker& w, int group, LocalVertexId lv);
-
   bool vertex_matches(const StagePlan& sp, LocalVertexId lv,
                       const std::vector<Value>& slots) const;
   void apply_actions(const StagePlan& sp, LocalVertexId lv,
@@ -292,10 +267,6 @@ class MachineRuntime {
   bool mirror_armed_ = false;
   Network* net_;
   AbortController* abort_;
-  // Cross-query cache participation (null = cache off for this run).
-  const RunCacheContext* cache_ = nullptr;
-  std::mutex minted_mutex_;
-  std::vector<std::unordered_set<VertexId>> minted_;  // [group] stable mints
   std::atomic<std::uint64_t> live_frames_{0};
   std::atomic<std::uint64_t> peak_live_frames_{0};
   std::unique_ptr<FlowControl> flow_;

@@ -32,7 +32,6 @@ void append_row_counts(std::ostringstream& out, const ProfileDepthRow& r) {
   if (r.index_probes > 0) {
     out << " probes=" << r.index_probes << " new=" << r.index_new
         << " elim=" << r.index_eliminated << " dup=" << r.index_duplicated;
-    if (r.index_seed_hits > 0) out << " seed_hits=" << r.index_seed_hits;
   }
 }
 
@@ -43,14 +42,13 @@ void append_json_row(std::string& out, const ProfileDepthRow& r) {
       "\"contexts\": %llu, \"ctx_sent\": %llu, \"ctx_received\": %llu, "
       "\"msgs_sent\": %llu, \"msgs_received\": %llu, \"bytes_sent\": %llu, "
       "\"index_probes\": %llu, \"index_new\": %llu, "
-      "\"index_eliminated\": %llu, \"index_duplicated\": %llu, "
-      "\"index_seed_hits\": %llu",
+      "\"index_eliminated\": %llu, \"index_duplicated\": %llu",
       static_cast<ull>(r.contexts), static_cast<ull>(r.ctx_sent),
       static_cast<ull>(r.ctx_received), static_cast<ull>(r.msgs_sent),
       static_cast<ull>(r.msgs_received), static_cast<ull>(r.bytes_sent),
       static_cast<ull>(r.index_probes), static_cast<ull>(r.index_new),
       static_cast<ull>(r.index_eliminated),
-      static_cast<ull>(r.index_duplicated), static_cast<ull>(r.index_seed_hits));
+      static_cast<ull>(r.index_duplicated));
   out += buf;
 }
 
@@ -81,7 +79,6 @@ void ProfileDepthRow::add(const ProfileDepthRow& other) {
   index_new += other.index_new;
   index_eliminated += other.index_eliminated;
   index_duplicated += other.index_duplicated;
-  index_seed_hits += other.index_seed_hits;
 }
 
 void QueryProfile::finish() {
@@ -115,9 +112,6 @@ std::uint64_t QueryProfile::total_bytes_sent() const {
 }
 std::uint64_t QueryProfile::total_index_probes() const {
   return sum_stages(*this, &ProfileDepthRow::index_probes);
-}
-std::uint64_t QueryProfile::total_index_seed_hits() const {
-  return sum_stages(*this, &ProfileDepthRow::index_seed_hits);
 }
 std::uint64_t QueryProfile::stage_contexts(StageId stage) const {
   return stages[stage].total.contexts;

@@ -52,9 +52,6 @@ struct ProfileDepthRow {
   std::uint64_t index_new = 0;         // first visit: emitted
   std::uint64_t index_eliminated = 0;  // dedup kill: subtree pruned
   std::uint64_t index_duplicated = 0;  // depth improved: no re-emission
-  /// Subset of index_new whose first visit landed on a cross-query cache
-  /// seed (DESIGN.md §11); 0 with the cache off.
-  std::uint64_t index_seed_hits = 0;
 
   bool any() const {
     return (contexts | ctx_sent | ctx_received | msgs_sent | msgs_received |
@@ -150,7 +147,6 @@ struct QueryProfile {
   std::uint64_t total_msgs_received() const;
   std::uint64_t total_bytes_sent() const;
   std::uint64_t total_index_probes() const;
-  std::uint64_t total_index_seed_hits() const;
   std::uint64_t stage_contexts(StageId stage) const;
   std::uint64_t stage_ctx_sent(StageId stage) const;
   std::uint64_t total_term_rounds() const;

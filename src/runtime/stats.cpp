@@ -23,8 +23,6 @@ void RpqStageStats::merge(const RpqStageStats& other) {
   index_bytes += other.index_bytes;
   index_hot_allocs += other.index_hot_allocs;
   index_duplicate_entries += other.index_duplicate_entries;
-  index_seeded += other.index_seeded;
-  index_seed_hits += other.index_seed_hits;
   max_depth_observed = std::max(max_depth_observed, other.max_depth_observed);
   if (other.consensus_max_depth) consensus_max_depth = other.consensus_max_depth;
 }
@@ -82,10 +80,9 @@ std::string RuntimeStats::summary() const {
         << " discarded=" << contexts_discarded
         << " peak_live=" << peak_live_contexts << " retries=" << retries;
   }
-  if (mirror_fanouts + mirror_expands + contexts_redirected > 0) {
+  if (mirror_fanouts + mirror_expands > 0) {
     out << "\n  balance: mirror_fanouts=" << mirror_fanouts
         << " mirror_expands=" << mirror_expands
-        << " redirected=" << contexts_redirected
         << " imbalance=" << load_imbalance;
   }
   for (std::size_t g = 0; g < rpq.size(); ++g) {
@@ -96,9 +93,6 @@ std::string RuntimeStats::summary() const {
         << " index_entries=" << r.index_entries << " (" << r.index_bytes
         << "B) max_depth=" << r.max_depth_observed;
     if (r.consensus_max_depth) out << " consensus=" << *r.consensus_max_depth;
-    if (r.index_seeded > 0) {
-      out << " seeded=" << r.index_seeded << " seed_hits=" << r.index_seed_hits;
-    }
   }
   return out.str();
 }

@@ -22,9 +22,6 @@ struct RpqStageStats {
   std::uint64_t index_bytes = 0;
   std::uint64_t index_hot_allocs = 0;  // heap allocations on the hot path
   std::uint64_t index_duplicate_entries = 0;  // post-run audit; must be 0
-  // Cross-query reachability cache (DESIGN.md §11); 0 with the cache off.
-  std::uint64_t index_seeded = 0;     // sentinel entries planted pre-run
-  std::uint64_t index_seed_hits = 0;  // first visits that landed on a seed
   Depth max_depth_observed = 0;
   /// The §3.4 consensus value for unbounded RPQs (set when reached).
   std::optional<Depth> consensus_max_depth;
@@ -99,7 +96,6 @@ struct RuntimeStats {
   // Skew-aware balancing (DESIGN.md §14); all 0 with the knobs off.
   std::uint64_t mirror_fanouts = 0;   // hot frames delegated to peers
   std::uint64_t mirror_expands = 0;   // delegations expanded locally
-  std::uint64_t contexts_redirected = 0;  // flushes advanced by load order
   /// Frames entered per machine (all stages) — the load distribution the
   /// §14 balancing acts on. Empty only for cached/coalesced results.
   std::vector<std::uint64_t> machine_contexts;
@@ -117,10 +113,7 @@ struct RuntimeStats {
   std::uint64_t peak_live_contexts = 0;
   /// run_with_retry attempts before this result (0 = first try).
   unsigned retries = 0;
-  // Cross-query caches (DESIGN.md §11); all 0/false with the caches off.
-  std::uint64_t reach_cache_seeded = 0;     // sum of rpq[].index_seeded
-  std::uint64_t reach_cache_seed_hits = 0;  // sum of rpq[].index_seed_hits
-  std::uint64_t reach_cache_harvested = 0;  // facts persisted post-run
+  // Result cache (DESIGN.md §11); all false with the cache off.
   /// This result was served from the result cache without executing.
   bool result_cache_hit = false;
   /// This result was coalesced onto a concurrent identical execution.

@@ -1,10 +1,9 @@
-// Concurrent cross-query cache stress (DESIGN.md §11): K in-flight
-// identical + distinct queries over one database with both caches armed.
+// Concurrent result-cache stress (DESIGN.md §11): K in-flight identical
+// + distinct queries over one database with the result cache armed.
 // Coalesced submissions must return results identical to the leader's
 // (== the oracle), cached hits must serve without dispatching, and the
 // per-query stats isolation invariants of the serving path must hold
-// while the reachability cache is concurrently seeded, harvested,
-// poisoned, and invalidated.
+// while the cache is concurrently invalidated.
 //
 // The gtest-discovered tests are the tier-1 smoke; the acceptance-scale
 // stress runs under the `tier2-cache` + `tier2-concurrent` ctest labels
@@ -30,7 +29,7 @@ struct StressConfig {
   unsigned copies = 4;     // identical submissions per query per wave
   unsigned machines = 3;
   unsigned inflight = 4;
-  bool invalidator = false;  // concurrent epoch-bump / poison thread
+  bool invalidator = false;  // concurrent invalidate_caches() thread
   std::uint64_t graph_seed = 33;
 };
 
@@ -59,7 +58,6 @@ void run_cache_stress(const StressConfig& sc) {
   ec.workers_per_machine = 2;
   ec.buffers_per_machine = 48;
   ec.buffer_bytes = 256;
-  ec.reach_cache_max_bytes = 1 << 20;
   ec.result_cache_max_bytes = 1 << 20;
   Database db(synthetic::make_random(gcfg), sc.machines, ec);
   SchedulerConfig cfg;
@@ -70,15 +68,11 @@ void run_cache_stress(const StressConfig& sc) {
   std::atomic<bool> stop{false};
   std::thread chaos;
   if (sc.invalidator) {
-    // Concurrent epoch bumps + depth poisoning: correctness must be
-    // insensitive to both (a bump only empties the cache; a poisoned
-    // depth is never read — seeds are inert sentinels).
+    // Concurrent invalidations: correctness must be insensitive to them
+    // (an invalidation only empties the cache; live flights complete).
     chaos = std::thread([&] {
       while (!stop.load()) {
         db.invalidate_caches();
-        for (unsigned m = 0; m < db.num_machines(); ++m) {
-          if (ReachCache* cache = db.reach_cache(m)) cache->poison_depths(1);
-        }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
     });

@@ -1,9 +1,7 @@
-// Cross-query cache layer (DESIGN.md §11): unit tests for PGQL
-// normalization, the canonical automaton-group cache key, the
-// per-machine reachability cache (LRU byte budget, epoch invalidation),
-// the single-flight result cache, and the Database-level wiring
-// (seed/harvest counters, PROFILE-vs-plain keying, abort no-persist,
-// eviction pressure) — plus the cache regression corpus replay
+// Result cache (DESIGN.md §11): unit tests for PGQL normalization, the
+// single-flight result cache, and the Database-level wiring
+// (PROFILE-vs-plain keying, abort no-admit, invalidation, eviction
+// pressure) — plus the cache regression corpus replay
 // (tests/corpus/cache/*.txt).
 #include <gtest/gtest.h>
 
@@ -20,10 +18,6 @@
 #include "baseline/reference.h"
 #include "ldbc/synthetic.h"
 #include "pgql/normalize.h"
-#include "pgql/parser.h"
-#include "plan/planner.h"
-#include "rpq/cache_key.h"
-#include "rpq/reach_cache.h"
 #include "runtime/result_cache.h"
 
 #ifndef RPQD_CACHE_CORPUS_DIR
@@ -76,182 +70,6 @@ TEST(Normalize, UnlexableTextFallsBackToTrimmedRaw) {
   const auto q = pgql::normalize_query("   SELECT 'unterminated   ");
   EXPECT_FALSE(q.profile);
   EXPECT_EQ(q.text, "SELECT 'unterminated");
-}
-
-// ---- automaton-group cache key (rpq/cache_key.h) ------------------------
-
-class CacheKeyTest : public ::testing::Test {
- protected:
-  CacheKeyTest() {
-    synthetic::RandomGraphConfig cfg;
-    cfg.num_vertices = 16;
-    cfg.num_edges = 40;
-    cfg.num_vertex_labels = 2;
-    cfg.num_edge_labels = 2;
-    cfg.seed = 7;
-    graph_ = synthetic::make_random(cfg);
-  }
-
-  std::vector<RpqGroupKey> keys(const std::string& text) const {
-    return rpq_group_cache_keys(
-        plan_query(pgql::parse(text), graph_.catalog()));
-  }
-
-  Graph graph_;
-};
-
-TEST_F(CacheKeyTest, AlternationOrderIsCanonical) {
-  const auto ab = keys("SELECT COUNT(*) FROM MATCH (a) -/:e0|e1*/-> (b)");
-  const auto ba = keys("SELECT COUNT(*) FROM MATCH (a) -/:e1|e0*/-> (b)");
-  ASSERT_EQ(ab.size(), 1u);
-  ASSERT_EQ(ba.size(), 1u);
-  EXPECT_TRUE(ab[0].eligible);
-  EXPECT_EQ(ab[0].hash, ba[0].hash)
-      << "automaton-equivalent rewrites must share a cache key";
-}
-
-TEST_F(CacheKeyTest, HopWindowAndLabelsChangeTheKey) {
-  const auto star = keys("SELECT COUNT(*) FROM MATCH (a) -/:e0*/-> (b)");
-  const auto plus = keys("SELECT COUNT(*) FROM MATCH (a) -/:e0+/-> (b)");
-  const auto other = keys("SELECT COUNT(*) FROM MATCH (a) -/:e1*/-> (b)");
-  ASSERT_EQ(star.size(), 1u);
-  EXPECT_NE(star[0].hash, plus[0].hash);
-  EXPECT_NE(star[0].hash, other[0].hash);
-}
-
-TEST_F(CacheKeyTest, DestinationLabelIsConservativelyPartOfTheKey) {
-  // The planner places the destination-label check INSIDE the RPQ group
-  // (a vertex filter on the group's emit stage), so it lands in the
-  // hashed filter set. Conservative — `(b)` and `(b:L1)` could in
-  // principle share exploration facts — but sound by construction: any
-  // filter that might prune inside the group separates the keys.
-  const auto open = keys("SELECT COUNT(*) FROM MATCH (a) -/:e0*/-> (b)");
-  const auto gated =
-      keys("SELECT COUNT(*) FROM MATCH (a) -/:e0*/-> (b:L1)");
-  ASSERT_EQ(open.size(), 1u);
-  ASSERT_EQ(gated.size(), 1u);
-  EXPECT_NE(open[0].hash, gated[0].hash);
-}
-
-TEST_F(CacheKeyTest, SourceLabelOutsideTheGroupSharesTheKey) {
-  // The source-label filter runs in the scan stage BEFORE the RPQ group,
-  // so it is excluded from the key — sound, because facts are keyed per
-  // source vertex and a source's reachable set is independent of which
-  // other sources start: seeds for sources this run never visits stay
-  // inert sentinels and are skipped at harvest.
-  const auto l0 = keys("SELECT COUNT(*) FROM MATCH (a:L0) -/:e0*/-> (b)");
-  const auto l1 = keys("SELECT COUNT(*) FROM MATCH (a:L1) -/:e0*/-> (b)");
-  ASSERT_EQ(l0.size(), 1u);
-  ASSERT_EQ(l1.size(), 1u);
-  EXPECT_EQ(l0[0].hash, l1[0].hash);
-}
-
-// ---- ReachCache (rpq/reach_cache.h) -------------------------------------
-
-TEST(ReachCache, InsertSnapshotRoundTrip) {
-  ReachCache cache(/*max_bytes=*/1 << 16);
-  EXPECT_TRUE(cache.insert_now(0xabc, /*src=*/1, /*dst=*/2, /*depth=*/3));
-  EXPECT_FALSE(cache.insert_now(0xabc, 1, 2, 5))
-      << "same key refreshes, not inserts";
-  const auto entries = cache.snapshot(0xabc);
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].src, 1u);
-  EXPECT_EQ(entries[0].dst, 2u);
-  EXPECT_EQ(entries[0].depth, 5u);  // refreshed
-  EXPECT_TRUE(cache.snapshot(0xdef).empty());
-  const auto s = cache.stats();
-  EXPECT_EQ(s.inserts, 1u);
-  EXPECT_EQ(s.refreshed, 1u);
-  EXPECT_EQ(s.seed_reads, 1u);
-}
-
-TEST(ReachCache, LruByteBudgetNeverExceeded) {
-  const std::uint64_t budget = 4 * ReachCache::kEntryBytes;
-  ReachCache cache(budget);
-  for (VertexId v = 0; v < 100; ++v) {
-    cache.insert_now(0x1, v, static_cast<LocalVertexId>(v), 1);
-    EXPECT_LE(cache.bytes(), budget);
-  }
-  EXPECT_EQ(cache.entries(), 4u);
-  EXPECT_EQ(cache.stats().evicted, 96u);
-}
-
-TEST(ReachCache, SnapshotRefreshesRecency) {
-  const std::uint64_t budget = 2 * ReachCache::kEntryBytes;
-  ReachCache cache(budget);
-  cache.insert_now(/*hash=*/1, /*src=*/10, /*dst=*/0, 1);
-  cache.insert_now(/*hash=*/2, /*src=*/20, /*dst=*/0, 1);
-  // Touch group 1, then insert a third entry: group 2 is the LRU victim.
-  (void)cache.snapshot(1);
-  cache.insert_now(/*hash=*/3, /*src=*/30, /*dst=*/0, 1);
-  EXPECT_EQ(cache.snapshot(1).size(), 1u);
-  EXPECT_EQ(cache.snapshot(2).size(), 0u);
-  EXPECT_EQ(cache.snapshot(3).size(), 1u);
-}
-
-TEST(ReachCache, EpochBumpDropsEverythingEagerly) {
-  ReachCache cache(1 << 16);
-  cache.insert_now(1, 1, 1, 1);
-  cache.insert_now(2, 2, 2, 2);
-  const std::uint64_t epoch_before = cache.epoch();
-  cache.bump_epoch();
-  EXPECT_EQ(cache.epoch(), epoch_before + 1);
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.bytes(), 0u);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-}
-
-TEST(ReachCache, StaleEpochHarvestRejected) {
-  ReachCache cache(1 << 16);
-  const std::uint64_t old_epoch = cache.epoch();
-  cache.bump_epoch();
-  EXPECT_FALSE(cache.insert(1, 1, 1, 1, old_epoch));
-  EXPECT_EQ(cache.entries(), 0u);
-  EXPECT_EQ(cache.stats().epoch_rejects, 1u);
-  // The current epoch still works.
-  EXPECT_TRUE(cache.insert(1, 1, 1, 1, cache.epoch()));
-}
-
-TEST(ReachCache, SetBudgetEvictsEagerly) {
-  ReachCache cache(1 << 16);
-  for (VertexId v = 0; v < 10; ++v) cache.insert_now(1, v, 0, 1);
-  cache.set_budget(3 * ReachCache::kEntryBytes);
-  EXPECT_EQ(cache.entries(), 3u);
-  EXPECT_LE(cache.bytes(), 3 * ReachCache::kEntryBytes);
-}
-
-TEST(ReachCache, ConcurrentInsertsRespectBudget) {
-  const std::uint64_t budget = 16 * ReachCache::kEntryBytes;
-  ReachCache cache(budget);
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 500;
-  std::vector<std::thread> threads;
-  std::atomic<bool> over_budget{false};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        cache.insert_now(static_cast<std::uint64_t>(t + 1),
-                         static_cast<VertexId>(i),
-                         static_cast<LocalVertexId>(t), 1);
-        if (cache.bytes() > budget) over_budget.store(true);
-        if (i % 64 == 0) (void)cache.snapshot(static_cast<std::uint64_t>(t + 1));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_FALSE(over_budget.load()) << "LRU byte budget exceeded mid-insert";
-  EXPECT_LE(cache.bytes(), budget);
-  const auto s = cache.stats();
-  EXPECT_EQ(s.inserts, static_cast<std::uint64_t>(kThreads) * kPerThread);
-}
-
-TEST(ReachCache, PoisonOverwritesDepthsOnly) {
-  ReachCache cache(1 << 16);
-  cache.insert_now(1, 1, 1, 7);
-  cache.insert_now(1, 2, 2, 9);
-  cache.poison_depths(1);
-  for (const auto& e : cache.snapshot(1)) EXPECT_EQ(e.depth, 1u);
-  EXPECT_EQ(cache.entries(), 2u);
 }
 
 // ---- ResultCache (runtime/result_cache.h) -------------------------------
@@ -373,58 +191,22 @@ EngineConfig small_engine_config() {
 constexpr const char* kChainStar =
     "SELECT COUNT(*) FROM MATCH (a) -/:next*/-> (b)";
 
-TEST(CrossQueryCache, WarmRunSeedsAndAgreesWithCold) {
+TEST(CrossQueryCache, ProfileKeysItsOwnResultEntry) {
   EngineConfig ec = small_engine_config();
-  ec.reach_cache_max_bytes = 1 << 20;
-  Database db(synthetic::make_chain(24), 3, ec);
-
-  const QueryResult cold = db.query(kChainStar);
-  EXPECT_EQ(cold.stats.reach_cache_seeded, 0u);
-  EXPECT_GT(cold.stats.reach_cache_harvested, 0u);
-
-  const QueryResult warm = db.query(kChainStar);
-  EXPECT_EQ(warm.count, cold.count);
-  EXPECT_GT(warm.stats.reach_cache_seeded, 0u);
-  EXPECT_GT(warm.stats.reach_cache_seed_hits, 0u);
-
-  // Seeds are semantically inert: the per-depth emit/eliminate/duplicate
-  // accounting of the warm run is bit-identical to the cold run.
-  ASSERT_EQ(warm.stats.rpq.size(), cold.stats.rpq.size());
-  for (std::size_t g = 0; g < warm.stats.rpq.size(); ++g) {
-    EXPECT_EQ(warm.stats.rpq[g].matches_per_depth,
-              cold.stats.rpq[g].matches_per_depth);
-    EXPECT_EQ(warm.stats.rpq[g].eliminated_per_depth,
-              cold.stats.rpq[g].eliminated_per_depth);
-    EXPECT_EQ(warm.stats.rpq[g].duplicated_per_depth,
-              cold.stats.rpq[g].duplicated_per_depth);
-    EXPECT_LE(warm.stats.rpq[g].index_seed_hits,
-              warm.stats.rpq[g].index_seeded);
-  }
-
-  const ReachCacheStats rs = db.reach_cache_stats();
-  EXPECT_GT(rs.inserts, 0u);
-  EXPECT_GT(rs.seed_reads, 0u);
-  EXPECT_GT(rs.entries, 0u);
-}
-
-TEST(CrossQueryCache, ProfileSharesReachEntriesButNotResults) {
-  EngineConfig ec = small_engine_config();
-  ec.reach_cache_max_bytes = 1 << 20;
   ec.result_cache_max_bytes = 1 << 20;
   Database db(synthetic::make_chain(24), 3, ec);
 
   const QueryResult plain = db.query(kChainStar);
-  ASSERT_GT(plain.stats.reach_cache_harvested, 0u);
+  EXPECT_FALSE(plain.stats.result_cache_hit);
   EXPECT_FALSE(plain.profile.enabled);
 
-  // `PROFILE Q` misses the result cache (distinct key) but seeds from
-  // Q's reachability facts (same automaton-group hash).
+  // `PROFILE Q` misses the result cache: the profile flag is part of
+  // the key, so it never shares Q's result object.
   const QueryResult profiled =
       db.query(std::string("PROFILE ") + kChainStar);
   EXPECT_TRUE(profiled.profile.enabled);
   EXPECT_FALSE(profiled.stats.result_cache_hit);
   EXPECT_EQ(profiled.count, plain.count);
-  EXPECT_GT(profiled.stats.reach_cache_seeded, 0u);
 
   // Re-asking each form hits its own result-cache entry, with the
   // profile tree present exactly when asked for.
@@ -464,62 +246,57 @@ TEST(CrossQueryCache, RetryPathBypassesTheResultCache) {
   EXPECT_EQ(db.result_cache_stats().hits, hits_before);
 }
 
-TEST(CrossQueryCache, AbortedRunNeverHarvests) {
+TEST(CrossQueryCache, AbortedRunIsNeverCached) {
   EngineConfig ec = small_engine_config();
-  ec.reach_cache_max_bytes = 1 << 20;
+  ec.result_cache_max_bytes = 1 << 20;
   // A context budget of 1 per machine trips immediately on the chain.
   ec.max_live_contexts = 1;
   Database db(synthetic::make_chain(48), 2, ec);
-  const QueryResult result = db.query(kChainStar);
-  ASSERT_TRUE(result.aborted);
-  EXPECT_EQ(db.reach_cache_stats().inserts, 0u)
-      << "an aborted run's partial facts must not be persisted";
-  EXPECT_EQ(db.reach_cache_stats().entries, 0u);
+  const QueryResult first = db.query(kChainStar);
+  ASSERT_TRUE(first.aborted);
+  EXPECT_EQ(db.result_cache_stats().rejected_dirty, 1u);
+  EXPECT_EQ(db.result_cache_stats().entries, 0u)
+      << "an aborted run's partial result must not be cached";
+  // The re-ask executes again instead of replaying the partial result.
+  const QueryResult second = db.query(kChainStar);
+  EXPECT_FALSE(second.stats.result_cache_hit);
+  EXPECT_TRUE(second.aborted);
 }
 
-TEST(CrossQueryCache, EpochBumpInvalidatesBothCaches) {
+TEST(CrossQueryCache, InvalidateCachesDropsTheResultCache) {
   EngineConfig ec = small_engine_config();
-  ec.reach_cache_max_bytes = 1 << 20;
   ec.result_cache_max_bytes = 1 << 20;
   Database db(synthetic::make_chain(24), 3, ec);
 
   const QueryResult cold = db.query(kChainStar);
-  ASSERT_GT(db.reach_cache_stats().entries, 0u);
+  ASSERT_EQ(db.result_cache_stats().entries, 1u);
   db.invalidate_caches();
-  EXPECT_EQ(db.reach_cache_stats().entries, 0u);
   EXPECT_EQ(db.result_cache_stats().entries, 0u);
+  EXPECT_EQ(db.result_cache_stats().invalidations, 1u);
 
   const QueryResult after = db.query(kChainStar);
   EXPECT_FALSE(after.stats.result_cache_hit);
-  EXPECT_EQ(after.stats.reach_cache_seeded, 0u);
   EXPECT_EQ(after.count, cold.count);
-}
-
-TEST(CrossQueryCache, HarvestKnobOffRunsReadOnly) {
-  EngineConfig ec = small_engine_config();
-  ec.reach_cache_max_bytes = 1 << 20;
-  ec.reach_cache_harvest = false;
-  Database db(synthetic::make_chain(24), 2, ec);
-  const QueryResult r = db.query(kChainStar);
-  EXPECT_EQ(r.stats.reach_cache_harvested, 0u);
-  EXPECT_EQ(db.reach_cache_stats().entries, 0u);
 }
 
 TEST(CrossQueryCache, EvictionPressureKeepsResultsCorrect) {
   EngineConfig ec = small_engine_config();
-  // Two entries per machine: constant eviction churn.
-  ec.reach_cache_max_bytes = 2 * ReachCache::kEntryBytes;
   Database db(synthetic::make_chain(24), 3, ec);
   const QueryResult cold = db.query(kChainStar);
-  const QueryResult warm = db.query(kChainStar);
-  EXPECT_EQ(warm.count, cold.count);
-  const ReachCacheStats rs = db.reach_cache_stats();
-  EXPECT_LE(rs.bytes, 3 * 2 * ReachCache::kEntryBytes);
-  EXPECT_GT(rs.evicted, 0u);
-  for (unsigned m = 0; m < db.num_machines(); ++m) {
-    ASSERT_NE(db.reach_cache(m), nullptr);
-    EXPECT_LE(db.reach_cache(m)->bytes(), ec.reach_cache_max_bytes);
+  // Room for one entry of this size: every distinct ask evicts the last.
+  const std::uint64_t budget = estimate_result_bytes(cold);
+  db.config().result_cache_max_bytes = budget;
+  db.config().result_cache_admit_max_bytes = budget;
+  for (int round = 0; round < 3; ++round) {
+    const QueryResult plain = db.query(kChainStar);
+    const QueryResult profiled =
+        db.query(std::string("PROFILE ") + kChainStar);
+    EXPECT_EQ(plain.count, cold.count);
+    EXPECT_EQ(profiled.count, cold.count);
+    EXPECT_FALSE(plain.stats.result_cache_hit) << "round " << round;
+    EXPECT_LE(db.result_cache_stats().bytes, budget);
   }
+  EXPECT_GT(db.result_cache_stats().evicted, 0u);
 }
 
 TEST(CrossQueryCache, SchedulerServesCachedHitsWithoutDispatch) {
@@ -550,10 +327,10 @@ TEST(CrossQueryCache, SchedulerServesCachedHitsWithoutDispatch) {
 // Line format (whitespace-separated, '#' starts a comment; the query
 // separator is ';;' because '|' appears inside label alternations):
 //   <graph-spec> <machines> <schedule> <fault-seed> <mode> | <q1> ;; <q2>
-// Modes: reask (q2 re-asks warm), rewrite (q2 is an automaton-equivalent
-// rewrite of q1), epoch-bump (invalidate between q1 and q2), evict (run
-// under a 2-entry/machine reach-cache budget). Both runs must match the
-// oracle; warm seeding is asserted where the mode guarantees it.
+// Modes: reask (q2 re-asks warm), rewrite (q2 is an equivalent rewrite
+// of q1), epoch-bump (invalidate between q1 and q2), evict (run under a
+// two-entry result-cache budget). Every run must match the oracle; the
+// result-cache hit is asserted where the mode determines it.
 
 Graph corpus_graph(const std::string& spec) {
   const std::string kind = spec.substr(0, spec.find(':'));
@@ -657,8 +434,7 @@ TEST(CacheCorpusReplay, AllEntriesAgreeWithOracleColdAndWarm) {
       GTEST_FAIL() << "cache corpus entry outside the oracle subset";
     }
     EngineConfig ec = small_engine_config();
-    ec.reach_cache_max_bytes =
-        e.mode == "evict" ? 2 * ReachCache::kEntryBytes : (1 << 20);
+    ec.result_cache_max_bytes = 1 << 20;
     Database db(corpus_graph(e.graph_spec), e.machines, ec);
     db.set_fault_schedule(e.schedule, e.fault_seed);
 
@@ -666,25 +442,42 @@ TEST(CacheCorpusReplay, AllEntriesAgreeWithOracleColdAndWarm) {
     EXPECT_FALSE(r1.aborted);
     EXPECT_EQ(r1.count, expected1);
 
+    std::uint64_t budget = 0;
     if (e.mode == "epoch-bump") db.invalidate_caches();
+    if (e.mode == "evict") {
+      // Two entries of q1's size; the PROFILE asks below add up to two
+      // more keys, so the LRU evicts while every answer stays exact.
+      budget = 2 * estimate_result_bytes(r1);
+      db.config().result_cache_max_bytes = budget;
+      db.config().result_cache_admit_max_bytes = budget;
+    }
 
     const QueryResult r2 = db.query(e.q2);
     EXPECT_FALSE(r2.aborted);
     EXPECT_EQ(r2.count, expected2);
 
+    const bool same_text = pgql::normalize_query(e.q1).text ==
+                           pgql::normalize_query(e.q2).text;
+
     if (e.mode == "epoch-bump") {
-      EXPECT_EQ(r2.stats.reach_cache_seeded, 0u)
-          << "epoch bump must drop every seedable entry";
-    } else if (e.mode == "reask" || e.mode == "rewrite") {
-      if (r1.stats.reach_cache_harvested > 0) {
-        EXPECT_GT(r2.stats.reach_cache_seeded, 0u)
-            << "warm re-ask found nothing to seed";
-      }
+      EXPECT_FALSE(r2.stats.result_cache_hit)
+          << "invalidate_caches must drop every cached result";
+    } else if (e.mode == "reask") {
+      EXPECT_TRUE(r2.stats.result_cache_hit) << "warm re-ask missed";
+    } else if (e.mode == "rewrite") {
+      // Only rewrites that normalize to the same text share an entry.
+      EXPECT_EQ(r2.stats.result_cache_hit, same_text);
     } else if (e.mode == "evict") {
-      for (unsigned m = 0; m < db.num_machines(); ++m) {
-        if (db.reach_cache(m) != nullptr) {
-          EXPECT_LE(db.reach_cache(m)->bytes(), ec.reach_cache_max_bytes);
-        }
+      const QueryResult p1 = db.query("PROFILE " + e.q1);
+      const QueryResult p2 = db.query("PROFILE " + e.q2);
+      EXPECT_EQ(p1.count, expected1);
+      EXPECT_EQ(p2.count, expected2);
+      const ResultCacheStats rs = db.result_cache_stats();
+      EXPECT_LE(rs.bytes, budget);
+      EXPECT_LE(rs.entries, 2u);
+      // Four distinct keys cannot fit two entries; two can.
+      if (!same_text) {
+        EXPECT_GT(rs.evicted, 0u);
       }
     }
   }

@@ -3,9 +3,9 @@
 // adversarial fault schedules, every query checked against the
 // brute-force reference oracle ON THE SNAPSHOT IT PINNED
 // (Database::materialize_snapshot of result.stats.snapshot_epoch), with
-// caches enabled so the coherence plumbing — partition-granular reach
-// bumps, label-scoped result eviction, single-flight epoch stamping —
-// is fuzzed along the way. Occasional merge_deltas() calls fold the
+// the result cache enabled so the coherence plumbing — label-scoped
+// result eviction, single-flight epoch stamping — is fuzzed along the
+// way. Occasional merge_deltas() calls fold the
 // delta segments mid-sweep; a merge changes representation only, so
 // agreement must hold straight through it.
 //
@@ -143,9 +143,9 @@ struct UpdateHarnessConfig {
 };
 
 /// Solo sweep: one database per round, interleaving seeded batches with
-/// oracle-checked generated queries under each fault schedule. Caches
-/// are ON — a stale hit or unflushed reach fact shows up as a count
-/// mismatch against the pinned-epoch oracle.
+/// oracle-checked generated queries under each fault schedule. The
+/// result cache is ON — a stale hit shows up as a count mismatch
+/// against the pinned-epoch oracle.
 void run_update_differential(const UpdateHarnessConfig& uc) {
   testgen::QueryGenConfig qcfg;
   qcfg.num_vertex_labels = 2;
@@ -169,7 +169,6 @@ void run_update_differential(const UpdateHarnessConfig& uc) {
     ec.buffer_bytes = 256;
     ec.profile = true;
     ec.result_cache_max_bytes = 1 << 20;
-    ec.reach_cache_max_bytes = round % 2 == 0 ? (1 << 20) : 0;
     Database db(synthetic::make_random(gcfg), uc.machines, ec);
 
     std::uint64_t qseed = uc.base_seed * 100003 +

@@ -2,15 +2,15 @@
 // apply_update against blocking queries, scheduled submissions, cache
 // probes, stats polls, and delta merges on one Database. Run under TSan
 // (tier2-updates-tsan preset) this is the data-race gate for the online
-// update path: RCU snapshot publication, the epoch handshake between
-// the update path and the result cache, and the reach-cache generation
-// bumps all get exercised under genuine contention.
+// update path: RCU snapshot publication and the epoch handshake between
+// the update path and the result cache (including its lazy creation)
+// get exercised under genuine contention.
 //
 // Correctness bar inside the race: every completed query's count must
 // equal the reference oracle on the snapshot it pinned
 // (materialize_snapshot of its stats.snapshot_epoch) — not "some nearby
 // epoch". The coherence engine_checks stay armed throughout: a mutation
-// that reached a query before the caches would abort the whole test.
+// that reached a query before the cache would abort the whole test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,7 +46,6 @@ void run_update_stress(std::size_t n_vertices, int n_query_threads,
   ec.buffers_per_machine = 48;
   ec.buffer_bytes = 256;
   ec.result_cache_max_bytes = 1 << 20;
-  ec.reach_cache_max_bytes = 1 << 20;
   Database db(synthetic::make_cycle(n_vertices), 3, ec);
   const LabelId next = *db.graph().catalog().find_edge_label("next");
 
