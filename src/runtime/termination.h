@@ -8,7 +8,10 @@
 // classic two-wave stability argument: a stage is globally terminated
 // when every machine reported the same stage counters in two consecutive
 // statuses, the global sent/processed sums match, no frames are active at
-// the stage, and all preceding stages have terminated.
+// the stage, and all preceding stages have terminated. The query as a
+// whole terminates only when, in addition, every link's data-message
+// counts agree: what each machine counted as sent to a peer, the peer
+// counted as delivered (a consistent cut — see globally_terminated()).
 //
 // For unbounded RPQs, statuses carry each machine's maximum locally
 // observed depth (implicitly: the length of its per-depth counter
@@ -47,10 +50,13 @@ struct TermStatus {
   /// Per RPQ group, per depth: {sent, processed, active frames}. The
   /// vector length doubles as the machine's max observed depth + 1.
   std::vector<std::vector<std::array<std::uint64_t, 3>>> groups;
+  /// Per peer machine: {data messages sent to it, data messages
+  /// delivered from it} (Network::data_sent, Inbox::delivered_from).
+  std::vector<std::array<std::uint64_t, 2>> links;
 
   bool counters_equal(const TermStatus& other) const {
     return idle == other.idle && stages == other.stages &&
-           groups == other.groups;
+           groups == other.groups && links == other.links;
   }
 };
 
@@ -105,7 +111,7 @@ class TerminationDetector {
   }
 
  private:
-  TermStatus build_status() const;
+  TermStatus build_status(Network& net) const;
   void store_status(MachineId machine, TermStatus status);
   bool machine_stable(MachineId m) const;  // two identical statuses
 

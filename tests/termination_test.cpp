@@ -67,6 +67,48 @@ TEST(Termination, InFlightMessageBlocksTermination) {
   EXPECT_TRUE(d1.globally_terminated());
 }
 
+TEST(Termination, StaleStablePeerCannotHideLiveWork) {
+  // Machine 0 settles (two identical idle statuses), then processes a
+  // message from machine 1 and forwards one to machine 2 without
+  // broadcasting again. In the stage sums the first message (sent, yet
+  // unprocessed in 0's stale counts) and the second (processed, yet
+  // unsent in them) cancel; only the link counts expose the stale peer.
+  Network net(3);
+  TerminationDetector d0(0, 3, 1, 0);
+  TerminationDetector d1(1, 3, 1, 0);
+  TerminationDetector d2(2, 3, 1, 0);
+  for (auto* d : {&d0, &d1, &d2}) d->set_idle(true);
+  d0.maybe_broadcast(net, true);
+  d0.maybe_broadcast(net, true);
+  const auto send_data = [&net](MachineId from, MachineId to) {
+    Message msg;
+    msg.header.type = MessageType::kData;
+    msg.header.src = from;
+    msg.header.count = 1;
+    net.send(to, std::move(msg));
+  };
+  d1.note_sent(0, -1, 0, 1);
+  send_data(1, 0);
+  d0.note_processed(0, -1, 0, 1);
+  d0.note_sent(0, -1, 0, 1);
+  send_data(0, 2);
+  d2.note_processed(0, -1, 0, 1);
+  for (int i = 0; i < 2; ++i) {
+    d1.maybe_broadcast(net, true);
+    d2.maybe_broadcast(net, true);
+  }
+  pump(net, {&d0, &d1, &d2});
+  EXPECT_FALSE(d1.globally_terminated());
+  EXPECT_FALSE(d2.globally_terminated());
+  // Once machine 0 reports its current counts, all three agree.
+  d0.maybe_broadcast(net, true);
+  d0.maybe_broadcast(net, true);
+  pump(net, {&d0, &d1, &d2});
+  EXPECT_TRUE(d0.globally_terminated());
+  EXPECT_TRUE(d1.globally_terminated());
+  EXPECT_TRUE(d2.globally_terminated());
+}
+
 TEST(Termination, ActiveFramesBlockTermination) {
   Network net(1);
   TerminationDetector d(0, 1, 2, 0);
