@@ -8,9 +8,8 @@
 // labels/properties are case-sensitive catalog names, and folding them
 // would alias distinct queries), keeps string literals verbatim, and
 // strips the leading `PROFILE` token into a flag (a profiled and an
-// unprofiled run of the same text must never share a result object, but
-// they do share the same normalized text — and therefore the same
-// reachability-cache entries, whose key is plan-derived).
+// unprofiled run of the same text share the normalized text but must
+// never share a result object).
 #pragma once
 
 #include <string>
