@@ -29,6 +29,7 @@ int main() {
   std::printf("%-10s %-8s %12s %10s %10s %10s %14s\n", "buffers", "depthD",
               "latency(ms)", "blocked", "shared", "overflow", "peak-bytes");
   auto shared_graph = std::make_shared<const Graph>(std::move(graph));
+  bool failed = false;
   for (const unsigned buffers : {8u, 32u, 128u, 512u}) {
     for (const Depth window : {1u, 4u, 8u}) {
       EngineConfig ec;
@@ -50,14 +51,15 @@ int main() {
                       result.stats.flow_overflow_used),
                   static_cast<unsigned long long>(
                       result.stats.peak_queued_bytes));
-      if (result.stats.flow_emergency != 0) {
-        std::printf("  !! emergency credits used: %llu\n",
-                    static_cast<unsigned long long>(
-                        result.stats.flow_emergency));
+      if (result.aborted) {
+        // Every budget in the sweep keeps the §3.3 progress floors, so
+        // an abort (credit starvation included) is a defect, not a point.
+        std::printf("  !! aborted: %s\n", to_string(result.abort_reason));
+        failed = true;
       }
     }
   }
   std::printf("\n(small budgets trade latency for bounded buffering: "
               "blocked counts rise, peak bytes fall — §3.3)\n");
-  return 0;
+  return failed ? 1 : 0;
 }

@@ -61,24 +61,7 @@ int main() {
                 static_cast<unsigned long long>(
                     result.stats.peak_queued_bytes));
   }
-  std::printf("\n--- (c) aDFS work sharing (§5 extension) ---\n");
-  std::printf("%-12s %12s %14s\n", "sharing", "latency(ms)", "shared-tasks");
-  for (const bool sharing : {false, true}) {
-    EngineConfig ec;
-    ec.workers_per_machine = 4;
-    ec.adfs_work_sharing = sharing;
-    DistributedEngine engine(pg, ec);
-    QueryResult result;
-    const double ms =
-        median_ms([&] { result = engine.execute(query); }, repeats);
-    std::printf("%-12s %12.2f %14llu\n", sharing ? "on" : "off", ms,
-                static_cast<unsigned long long>(
-                    result.stats.adfs_shared_tasks));
-  }
   std::printf("\n(deep-first pickup drains the pipeline towards the output "
-              "before expanding new shallow work; on real multi-core "
-              "machines aDFS sharing converts long sequential subtrees "
-              "into parallel work — on this one-core simulation it only "
-              "shows the accounting)\n");
+              "before expanding new shallow work)\n");
   return 0;
 }

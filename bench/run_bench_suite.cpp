@@ -507,10 +507,8 @@ int main() {
     const Graph skew_graph = synthetic::make_tree(8, 6);
     const std::string q9 =
         "SELECT COUNT(*) FROM MATCH (a:Root) <-/:replyOf*/- (b)";
-    EngineConfig skew_base;
-    skew_base.buffers_per_machine = 256;
-    EngineConfig skew_armed = skew_base;
-    skew_armed.hot_mirror_fanout = true;
+    EngineConfig skew_cfg;
+    skew_cfg.buffers_per_machine = 256;
     // One off sample then one on sample per round; the per-round ratio
     // is the drift-cancelling estimator (the simulation multiplexes all
     // machines onto one host, so absolute wall-clock is noisy).
@@ -541,9 +539,9 @@ int main() {
     };
     {
       const std::vector<MachineId> all0(skew_graph.num_vertices(), 0);
-      Database off_db(skew_graph, machines, skew_base);
+      Database off_db(skew_graph, machines, skew_cfg);
       off_db.repartition(all0);
-      Database on_db(skew_graph, machines, skew_armed);
+      Database on_db(skew_graph, machines, skew_cfg);
       on_db.repartition(all0);
       // The §14 control loop, verbatim: profile once on the bad map,
       // feed the measured load to the Repartitioner, adopt its map and
@@ -566,8 +564,8 @@ int main() {
                   row.improvement, row.imbalance_off, row.imbalance_on);
     }
     {
-      Database off_db(skew_graph, machines, skew_base);
-      Database on_db(skew_graph, machines, skew_armed);
+      Database off_db(skew_graph, machines, skew_cfg);
+      Database on_db(skew_graph, machines, skew_cfg);
       auto graph = on_db.materialize_snapshot(on_db.graph_epoch());
       Repartitioner rep(graph, machines);
       on_db.set_hot_vertices(

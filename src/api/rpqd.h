@@ -192,14 +192,14 @@ class Database {
   // Hot-vertex replication and profile-driven repartitioning. Both act
   // between queries at the store level; in-flight queries keep their
   // pinned snapshot. Neither changes any query result — replication
-  // only changes which machine enumerates a hot adjacency (armed by
-  // config().hot_mirror_fanout), and a repartition only changes vertex
+  // only changes which machine enumerates a hot adjacency (armed by a
+  // non-empty hot set), and a repartition only changes vertex
   // placement. The offline proposal side lives in graph/repartition.h.
 
   /// Installs (empty vector: drops) the hot-vertex mirror set: every
   /// machine gets a read-only bucketed copy of the hot vertices'
   /// adjacency, kept coherent through apply_update/merge/repartition.
-  /// Queries use it only when config().hot_mirror_fanout is on.
+  /// Queries on more than one machine delegate hot fan-out to it.
   void set_hot_vertices(std::vector<VertexId> hot);
 
   /// The currently mirrored hot set (empty = replication off).

@@ -9,7 +9,7 @@ const char* to_string(AbortReason reason) {
     case AbortReason::kDeadline: return "deadline";
     case AbortReason::kContextBudget: return "context-budget";
     case AbortReason::kReachIndexBudget: return "reach-index-budget";
-    case AbortReason::kNestingBudget: return "nesting-budget";
+    case AbortReason::kCreditStarvation: return "credit-starvation";
     case AbortReason::kMachineFailure: return "machine-failure";
     case AbortReason::kDepthTruncated: return "depth-truncated";
     case AbortReason::kAdmissionReject: return "admission-reject";
@@ -21,7 +21,7 @@ bool abort_reason_retryable(AbortReason reason) {
   switch (reason) {
     case AbortReason::kMachineFailure:
     case AbortReason::kContextBudget:
-    case AbortReason::kNestingBudget:
+    case AbortReason::kCreditStarvation:
     // A queue-full admission reject is load-dependent: by the time a
     // retry resubmits, in-flight queries have drained. (A budget-based
     // reject is deterministic, but it is reported before any run burns

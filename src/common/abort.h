@@ -33,7 +33,7 @@ enum class AbortReason : std::uint8_t {
   kDeadline,          // EngineConfig::query_deadline_ms exceeded
   kContextBudget,     // EngineConfig::max_live_contexts exceeded
   kReachIndexBudget,  // EngineConfig::reach_index_max_bytes exceeded
-  kNestingBudget,     // starved at the max_pickup_nesting cap
+  kCreditStarvation,  // EngineConfig::flow_starvation_abort_ms exceeded
   kMachineFailure,    // crash-stop machine (FaultPlan crash mode)
   kDepthTruncated,    // not an abort: max_exploration_depth clipped results
   kAdmissionReject,   // never ran: the QueryScheduler refused admission

@@ -15,9 +15,6 @@
 namespace rpqd {
 
 struct EngineConfig {
-  /// Number of simulated machines in the cluster. The paper uses 4–16.
-  unsigned num_machines = 4;
-
   /// Worker threads per machine executing traversals. The paper uses 34
   /// (36 cores minus two messaging threads); we default to 2 because the
   /// simulation multiplexes every machine onto one host.
@@ -42,10 +39,6 @@ struct EngineConfig {
   /// Extra overflow credits added per observed depth beyond the window,
   /// preventing the livelock described in §3.3 (paper: one per depth).
   unsigned rpq_overflow_credits_per_depth = 1;
-
-  /// Execution contexts are preallocated up to this RPQ depth and grown
-  /// dynamically past it (paper: three).
-  Depth context_preallocated_depth = 3;
 
   /// Toggles the reachability index (§3.5). Disabling it reproduces the
   /// "without index" series of Figure 3; only safe on acyclic expansions.
@@ -90,23 +83,11 @@ struct EngineConfig {
   /// unboundedly on deep RPQs. Trips AbortReason::kReachIndexBudget.
   std::uint64_t reach_index_max_bytes = 0;
 
-  /// A worker starved of credits at the max_pickup_nesting cap for this
-  /// long trips AbortReason::kNestingBudget instead of eventually taking
-  /// an unbounded emergency credit (the 5s valve stays for workers below
-  /// the cap). Must be below that valve to be effective; 0 disables.
+  /// A worker starved of credits for this long, with no inbound work it
+  /// may pick up, trips AbortReason::kCreditStarvation: §3.3 buffer
+  /// memory stays bounded, so a credit drought ends in a clean abort
+  /// rather than an unbounded stall. 0 disables (the worker waits).
   std::uint64_t flow_starvation_abort_ms = 2000;
-
-  /// Shards of the reachability index's second-level map per machine.
-  unsigned reach_index_shards = 16;
-
-  /// aDFS-style dynamic parallelization (§5 future work, following the
-  /// cited aDFS paper): a worker whose machine has idle peers offloads
-  /// local child traversals into a machine-local task queue instead of
-  /// recursing, so long sequential subtrees spread across workers.
-  bool adfs_work_sharing = false;
-
-  /// Cap on queued shared tasks per machine (bounds their memory).
-  unsigned adfs_queue_limit = 256;
 
   /// Per-query profiling (runtime/profile.h): collects the
   /// per-(stage, machine, depth) QueryProfile tree alongside results.
@@ -184,24 +165,6 @@ struct EngineConfig {
   /// burst-pump so ticks track wall pace while the cluster drains).
   /// Doubles per attempt (capped at 16x) plus a seeded jitter term.
   unsigned retransmit_timeout_ticks = 128;
-
-  /// A receiver owing an ack for longer than this many pump ticks emits
-  /// a standalone kAck instead of waiting for reverse traffic to
-  /// piggyback on.
-  unsigned ack_idle_ticks = 16;
-
-  // ---- skew-aware load balancing (DESIGN.md §14) -------------------------
-  // Defaults OFF: the traversal hot path stays byte-identical to §13
-  // until a caller arms it. Results are invariant either way — the
-  // differential harness asserts it.
-
-  /// Delegated hot-vertex fan-out: when the pinned snapshot carries a
-  /// MirrorSet (Database::set_hot_vertices), a kNeighbor frame on a hot
-  /// vertex sends ONE mirror-expand message per peer machine with a
-  /// non-empty bucket instead of one context per remote neighbor; each
-  /// peer enumerates its pre-bucketed slice locally. Hops with edge
-  /// filters always enumerate normally (they need the owner's EvalCtx).
-  bool hot_mirror_fanout = false;
 
   /// Deterministic seed for any randomized tie-breaking.
   std::uint64_t seed = 42;

@@ -12,7 +12,6 @@ const char* to_string(CreditClass c) {
     case CreditClass::kRpqDedicated: return "rpq-dedicated";
     case CreditClass::kRpqShared: return "rpq-shared";
     case CreditClass::kRpqOverflow: return "rpq-overflow";
-    case CreditClass::kEmergency: return "emergency";
   }
   return "?";
 }
@@ -171,14 +170,6 @@ void FlowControl::release(MachineId dest, StageId stage, Depth depth,
                    "flow control: release without acquire");
       break;
     }
-    case CreditClass::kEmergency: {
-      const auto prev = emergency_out_.fetch_sub(1, std::memory_order_relaxed);
-      if (prev <= 0) {
-        emergency_out_.fetch_add(1, std::memory_order_relaxed);
-        engine_check(false, "flow control: release without acquire");
-      }
-      break;
-    }
   }
   // Wake blocked senders only when someone is actually sleeping; their
   // waits are short and timed, so the unlocked check is safe.
@@ -188,27 +179,20 @@ void FlowControl::release(MachineId dest, StageId stage, Depth depth,
   }
 }
 
-CreditClass FlowControl::acquire_emergency() {
-  emergency_used_.fetch_add(1, std::memory_order_relaxed);
-  emergency_out_.fetch_add(1, std::memory_order_relaxed);
-  return CreditClass::kEmergency;
-}
-
 FlowControlStats FlowControl::stats() const {
   FlowControlStats s;
   s.fast_path = fast_grants_.load(std::memory_order_relaxed);
   s.blocked = blocked_.load(std::memory_order_relaxed);
   s.shared_used = shared_used_.load(std::memory_order_relaxed);
   s.overflow_used = overflow_used_.load(std::memory_order_relaxed);
-  s.emergency_used = emergency_used_.load(std::memory_order_relaxed);
-  s.acquired = s.fast_path + s.overflow_used + s.emergency_used;
+  s.acquired = s.fast_path + s.overflow_used;
   return s;
 }
 
 std::uint64_t FlowControl::partition_credits() const {
   // Initial allowance actually granted to this partition, after the
   // equal split over slots and the §3.3 floors (buffer credits only —
-  // overflow/emergency are elastic valves, not partitioned memory).
+  // overflow is an elastic valve, not partitioned memory).
   std::uint64_t total = 0;
   for (const auto& pool : pools_) {
     total += static_cast<std::uint64_t>(pool.dedicated_init) *
@@ -230,7 +214,7 @@ std::uint64_t FlowControl::overflow_outstanding() const {
 
 std::uint64_t FlowControl::outstanding() const {
   // Credits in flight = initial allowance minus current level, summed
-  // over every slot, plus overflow/emergency credits. Meaningful at
+  // over every slot, plus overflow credits. Meaningful at
   // quiescence (tests); under concurrency it is a best-effort snapshot.
   std::int64_t out = 0;
   for (const auto& pool : pools_) {
@@ -245,7 +229,6 @@ std::uint64_t FlowControl::outstanding() const {
       for (const auto& set : pool.overflow_out)
         out += static_cast<std::int64_t>(set.size());
   }
-  out += emergency_out_.load(std::memory_order_relaxed);
   return out > 0 ? static_cast<std::uint64_t>(out) : 0;
 }
 

@@ -57,7 +57,6 @@ struct FlowControlStats {
   std::uint64_t blocked = 0;        // try_acquire failures (§4.2 metric)
   std::uint64_t shared_used = 0;
   std::uint64_t overflow_used = 0;
-  std::uint64_t emergency_used = 0;
   std::uint64_t fast_path = 0;      // grants served without taking the lock
 };
 
@@ -76,11 +75,6 @@ class FlowControl {
 
   /// Returns a credit (on receipt of the matching DONE message).
   void release(MachineId dest, StageId stage, Depth depth, CreditClass credit);
-
-  /// Last-resort credit when a worker exhausted its pickup-nesting budget
-  /// and spun without progress. Unbounded but counted: a healthy run never
-  /// takes one (asserted by tests).
-  CreditClass acquire_emergency();
 
   /// Blocks up to `max_wait` for any credit release, so blocked senders
   /// wake immediately when a DONE returns instead of polling.
@@ -149,8 +143,6 @@ class FlowControl {
   std::atomic<std::uint64_t> blocked_{0};
   std::atomic<std::uint64_t> shared_used_{0};
   std::atomic<std::uint64_t> overflow_used_{0};
-  std::atomic<std::uint64_t> emergency_used_{0};
-  std::atomic<std::int64_t> emergency_out_{0};
 };
 
 }  // namespace rpqd

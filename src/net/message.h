@@ -19,7 +19,6 @@ enum class MessageType : std::uint8_t {
   kTermination,  // termination-protocol status broadcast
   kAbort,        // cooperative-abort broadcast (common/abort.h)
   kAck,          // standalone reliable-delivery ack (DESIGN.md §13)
-  kMirrorRefresh,  // hot-vertex mirror arming broadcast (DESIGN.md §14)
 };
 
 /// MessageHeader::flags bit: the payload's contexts are mirror-expand
@@ -34,7 +33,6 @@ enum class CreditClass : std::uint8_t {
   kRpqDedicated,  // per-(path stage, machine, depth < D) buffer
   kRpqShared,     // shared pool for depths >= D
   kRpqOverflow,   // livelock-avoidance overflow buffer
-  kEmergency,     // unbounded safety valve; never used in healthy runs
 };
 
 struct MessageHeader {

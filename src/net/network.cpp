@@ -306,15 +306,6 @@ void Inbox::push(Message msg, NetStats& stats) {
     if (flow_ != nullptr) flow_->poke();
     return;
   }
-  if (msg.header.type == MessageType::kMirrorRefresh) {
-    // Control-channel arming broadcast (DESIGN.md §14): like kAbort it
-    // is never delayed, deduped, faulted, or counted against queued
-    // bytes — delivery just latches the mirror-ready flag workers
-    // consult before delegating hot-vertex fan-out. Latched for the run
-    // (one Network per query), so no epoch check is needed either.
-    mirror_ready_.store(true, std::memory_order_release);
-    return;
-  }
   if (epoch_ != 0 && msg.header.epoch != epoch_) {
     // A message from a different query epoch: in-flight residue of an
     // aborted run. Its sender's credits were reclaimed by that run's
@@ -384,10 +375,8 @@ void Inbox::push(Message msg, NetStats& stats) {
       return;
     }
     case MessageType::kAbort:
-    case MessageType::kMirrorRefresh:
     case MessageType::kAck:
-      return;  // kAbort/kMirrorRefresh handled above; kAck terminates in
-               // Network::transmit
+      return;  // kAbort handled above; kAck terminates in Network::transmit
   }
 }
 
@@ -457,8 +446,6 @@ unsigned fault_class_of(MessageType type) {
     case MessageType::kTermination: return kFaultClassTermination;
     case MessageType::kAbort: return kFaultClassAbort;
     case MessageType::kAck: return kFaultClassAck;
-    case MessageType::kMirrorRefresh:
-      return 0;  // control arming broadcast: never lost or corrupted
   }
   return 0;
 }
@@ -527,8 +514,7 @@ void Network::ack_apply(MachineId from, MachineId to, std::uint64_t cum,
 }
 
 void Network::transmit(MachineId dest, Message msg) {
-  const bool control = msg.header.type == MessageType::kAbort ||
-                       msg.header.type == MessageType::kMirrorRefresh;
+  const bool control = msg.header.type == MessageType::kAbort;
   if (reliable_on_ && !control) {
     // Refresh the piggybacked ack: what the sending machine has
     // received from `dest` (the reverse link), as of this attempt.
@@ -733,18 +719,6 @@ void Network::broadcast_abort(AbortReason reason) {
   }
 }
 
-void Network::broadcast_mirror_refresh(std::uint64_t mirror_version) {
-  for (unsigned m = 0; m < inboxes_.size(); ++m) {
-    Message msg;
-    msg.header.type = MessageType::kMirrorRefresh;
-    msg.header.flags = kMessageFlagMirror;
-    msg.header.epoch = epoch_;
-    // Informational: which MirrorSet build the broadcast armed.
-    msg.header.seq = mirror_version;
-    transmit(static_cast<MachineId>(m), std::move(msg));
-  }
-}
-
 void Network::send(MachineId dest, Message msg) {
   engine_check(dest < inboxes_.size(), "send to unknown machine");
   if (msg.header.type == MessageType::kData) {
@@ -785,7 +759,6 @@ void Network::send(MachineId dest, Message msg) {
       }
       case MessageType::kTermination:
       case MessageType::kAbort:
-      case MessageType::kMirrorRefresh:
       case MessageType::kAck:
         return;  // nobody is listening
       case MessageType::kDone:
@@ -804,7 +777,6 @@ void Network::send(MachineId dest, Message msg) {
       case MessageType::kDone: dup_prob = plan_.dup_done_prob; break;
       case MessageType::kTermination: dup_prob = plan_.dup_term_prob; break;
       case MessageType::kAbort: break;  // control channel: never duplicated
-      case MessageType::kMirrorRefresh: break;  // control channel too
       case MessageType::kAck: break;    // transport-internal: never duplicated
     }
     if (fault_roll(fault_hash(plan_.seed, msg.header.seq, kFaultSaltDup),

@@ -162,13 +162,6 @@ class Inbox {
     return crashed_.load(std::memory_order_acquire);
   }
 
-  /// True once the kMirrorRefresh arming broadcast reached this inbox:
-  /// its machine holds the current MirrorSet and will honour delegated
-  /// mirror-expand messages (DESIGN.md §14). Latched for the run.
-  bool mirror_ready() const {
-    return mirror_ready_.load(std::memory_order_acquire);
-  }
-
   void push(Message msg, NetStats& stats);
 
   /// Pops the highest-priority data message: larger depth first, then
@@ -297,8 +290,6 @@ class Inbox {
   // Abort / crash state. One relaxed load per worker poll.
   std::atomic<std::uint8_t> abort_reason_{0};
   std::atomic<bool> crashed_{false};
-  // Mirror arming (DESIGN.md §14).
-  std::atomic<bool> mirror_ready_{false};
   bool crash_armed_ = false;
   std::uint64_t crash_tick_ = 0;
   std::uint32_t epoch_ = 0;
@@ -425,23 +416,6 @@ class Network {
   /// Pushes a kAbort control message to every inbox. Control-channel
   /// priority: never delayed, deduped, or duplicated by fault injection.
   void broadcast_abort(AbortReason reason);
-
-  /// Pushes a kMirrorRefresh arming broadcast to every inbox
-  /// (DESIGN.md §14). Control-channel priority like kAbort: never lost,
-  /// corrupted, delayed, deduped, or duplicated — the receipt just
-  /// latches each inbox's mirror-ready flag. The engine broadcasts
-  /// before worker threads start, so readiness is deterministic.
-  void broadcast_mirror_refresh(std::uint64_t mirror_version);
-
-  /// True once every inbox observed the arming broadcast; workers gate
-  /// delegated fan-out on this (a peer that is not ready would silently
-  /// drop the delegation's results).
-  bool mirror_ready_all() const {
-    for (const auto& inbox : inboxes_) {
-      if (!inbox.mirror_ready()) return false;
-    }
-    return true;
-  }
 
   void send(MachineId dest, Message msg);
 

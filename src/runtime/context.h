@@ -16,14 +16,6 @@
 
 namespace rpqd {
 
-struct Context {
-  StageId stage = kInvalidStage;
-  VertexId vertex = kInvalidVertex;
-  Depth depth = 0;
-  std::uint64_t rpid = 0;
-  std::vector<Value> slots;
-};
-
 /// Per-buffer codec state for the batched delta encoding. Contexts in
 /// one message all target the same (stage, depth) and tend to carry
 /// nearby vertex ids and consecutive rpids (same worker, sequential

@@ -16,7 +16,6 @@ namespace rpqd {
 DistributedEngine::DistributedEngine(
     std::shared_ptr<const PartitionedGraph> graph, EngineConfig config)
     : graph_(std::move(graph)), config_(config) {
-  config_.num_machines = graph_->num_machines();
   snapshot_ = GraphSnapshot::initial(graph_);
 }
 
@@ -183,7 +182,7 @@ QueryResult DistributedEngine::run_plan_cfg(
   // for links whose retransmit budget runs dry.
   net.configure_reliability(ReliableConfig{
       cfg.reliable_transport, cfg.max_retransmits,
-      cfg.retransmit_timeout_ticks, cfg.ack_idle_ticks});
+      cfg.retransmit_timeout_ticks});
   net.attach_abort(&abort);
 
   std::vector<std::unique_ptr<MachineRuntime>> machines;
@@ -192,14 +191,6 @@ QueryResult DistributedEngine::run_plan_cfg(
     machines.push_back(std::make_unique<MachineRuntime>(
         static_cast<MachineId>(m), &snap->view(m), &plan, &cfg, &net,
         &abort));
-  }
-
-  // Hot-vertex mirror arming (DESIGN.md §14): broadcast after the
-  // machines exist but BEFORE any worker thread starts, so readiness is
-  // deterministic — a delegating sender requires every peer armed, and
-  // the synchronous pushes here guarantee it for the whole run.
-  if (cfg.hot_mirror_fanout && snap->mirror_set() != nullptr) {
-    net.broadcast_mirror_refresh(snap->mirror_set()->version());
   }
 
   {
@@ -385,10 +376,8 @@ QueryResult DistributedEngine::run_plan_cfg(
     stats.flow_blocked += fc.blocked;
     stats.flow_shared_used += fc.shared_used;
     stats.flow_overflow_used += fc.overflow_used;
-    stats.flow_emergency += fc.emergency_used;
     stats.flow_outstanding += machine->flow().outstanding();
     stats.flow_overflow_outstanding += machine->flow().overflow_outstanding();
-    stats.adfs_shared_tasks += machine->shared_task_count();
   }
   // Skew-aware balancing (DESIGN.md §14): delegation counters and the
   // per-machine load distribution with its imbalance ratio (max/mean of

@@ -7,7 +7,6 @@
 #include <optional>
 #include <thread>
 
-#include "common/logging.h"
 #include "common/stopwatch.h"
 #include "rpq/rpid.h"
 
@@ -33,6 +32,10 @@ std::uint64_t buffer_key(MachineId dest, StageId stage, Depth depth) {
          (static_cast<std::uint64_t>(stage) << 40) |
          static_cast<std::uint64_t>(depth);
 }
+
+/// Execution frames reserved per traversal beyond one per stage; deeper
+/// RPQ walks grow the stack on demand (paper: depth three).
+constexpr std::size_t kPreallocatedContextDepth = 3;
 
 void bump(std::vector<std::uint64_t>& v, Depth depth) {
   if (depth >= v.size()) v.resize(depth + 1, 0);
@@ -63,11 +66,8 @@ MachineRuntime::MachineRuntime(MachineId id, const PartitionView* partition,
           static_cast<int>(plan->stages[sp.rpq_group].rpq.index_id);
     }
   }
-  // Static half of the §14 delegation gate; the kMirrorRefresh readiness
-  // of the peers is polled per hot frame (broadcast by the engine before
-  // worker threads start, so it never flips mid-run).
-  mirror_armed_ = config->hot_mirror_fanout && part_->mirrors() != nullptr &&
-                  network->num_machines() > 1;
+  // §14 delegation arms whenever the pinned snapshot carries a hot set.
+  mirror_armed_ = part_->mirrors() != nullptr && network->num_machines() > 1;
   flow_ = std::make_unique<FlowControl>(*config, network->num_machines(),
                                         std::move(is_rpq));
   net_->inbox(id_).attach_flow_control(flow_.get());
@@ -79,8 +79,7 @@ MachineRuntime::MachineRuntime(MachineId id, const PartitionView* partition,
                                     network->num_machines());
   for (unsigned g = 0; g < plan->num_rpq_indexes; ++g) {
     indexes_.push_back(std::make_unique<ReachabilityIndex>(
-        part_->num_local(), config->reach_index_preallocate,
-        config->reach_index_shards));
+        part_->num_local(), config->reach_index_preallocate));
   }
   for (unsigned w = 0; w < config->workers_per_machine; ++w) {
     auto worker = std::make_unique<Worker>();
@@ -141,8 +140,7 @@ void MachineRuntime::run_context(Worker& w, StageId stage, VertexId vertex,
                                  std::vector<Value> slots) {
   const LocalVertexId lv = part_->require_local(vertex);
   RunState rs;
-  rs.stack.reserve(plan_->stages.size() +
-                   config_->context_preallocated_depth + 16);
+  rs.stack.reserve(plan_->stages.size() + kPreallocatedContextDepth + 16);
   rs.slots = std::move(slots);
   rs.saved.reserve(32);
   enter_stage(w, rs, stage, lv, depth, rpid, false);
@@ -169,8 +167,7 @@ void MachineRuntime::run_mirror_expand(Worker& w, StageId stage,
   const auto row = mirrors->row_of(hot_vertex);
   engine_check(row.has_value(), "mirror-expand for a non-hot vertex");
   RunState rs;
-  rs.stack.reserve(plan_->stages.size() +
-                   config_->context_preallocated_depth + 16);
+  rs.stack.reserve(plan_->stages.size() + kPreallocatedContextDepth + 16);
   rs.slots = std::move(slots);
   rs.saved.reserve(32);
   // Enumerate this machine's bucket of the hot vertex's adjacency —
@@ -557,10 +554,8 @@ void MachineRuntime::step(Worker& w, RunState& rs) {
       const auto depth = f.depth;
       const auto rpid = f.rpid;
       if (part_->owns(dst)) {
-        if (!try_share_local(w, sp.hop.to, dst, depth, rpid, slots)) {
-          enter_stage(w, rs, sp.hop.to, part_->require_local(dst),
-                      depth, rpid, false);
-        }
+        enter_stage(w, rs, sp.hop.to, part_->require_local(dst), depth, rpid,
+                    false);
       } else if (f.step != 2) {
         send_remote(w, sp.hop.to, dst, depth, rpid, slots);
       }
@@ -649,11 +644,6 @@ bool MachineRuntime::mirror_delegate(Worker& w, Frame& f, const StagePlan& sp,
   const VertexId gid = part_->to_global(f.current);
   const auto row = mirrors->row_of(gid);
   if (!row.has_value()) return false;
-  // Dynamic half of the gate: a peer that never saw the kMirrorRefresh
-  // broadcast would treat the delegation as ordinary contexts (a global
-  // hot id it does not own) — delegate only when the whole cluster is
-  // armed. The broadcast precedes worker start, so this never flips.
-  if (!net_->mirror_ready_all()) return false;
   const unsigned n = net_->num_machines();
   for (unsigned m = 0; m < n; ++m) {
     if (m == id_) continue;
@@ -717,40 +707,6 @@ void MachineRuntime::send_to(Worker& w, MachineId dest, StageId stage,
     w.out.erase(it);
     flush_buffer(w, std::move(full));
   }
-}
-
-bool MachineRuntime::try_share_local(Worker& w, StageId stage,
-                                     VertexId vertex, Depth depth,
-                                     std::uint64_t rpid,
-                                     const std::vector<Value>& slots) {
-  if (!config_->adfs_work_sharing || workers_.size() < 2) return false;
-  const auto queued = shared_queued_.load(std::memory_order_relaxed);
-  if (queued >= config_->adfs_queue_limit) return false;
-  // aDFS heuristic: offload when a peer is idle, and additionally keep a
-  // small buffet (one task per peer) queued so freshly-idle workers find
-  // work immediately instead of spinning.
-  if (queued + 1 >= workers_.size()) {
-    bool peer_idle = false;
-    for (const auto& peer : workers_) {
-      if (peer.get() != &w && !peer->busy.load(std::memory_order_relaxed)) {
-        peer_idle = true;
-        break;
-      }
-    }
-    if (!peer_idle) return false;
-  }
-  shared_queued_.fetch_add(1, std::memory_order_relaxed);
-  shared_total_.fetch_add(1, std::memory_order_relaxed);
-  Context ctx;
-  ctx.stage = stage;
-  ctx.vertex = vertex;
-  ctx.depth = depth;
-  ctx.rpid = rpid;
-  ctx.slots = slots;
-  // Keep the pending task visible to the termination detector.
-  note_frame_pushed(stage, group_of(stage), depth);
-  shared_tasks_.push(std::move(ctx));
-  return true;
 }
 
 void MachineRuntime::flush_buffer(Worker& w, OutBuffer&& buf) {
@@ -836,29 +792,16 @@ std::optional<CreditClass> MachineRuntime::acquire_credit_blocking(
       ++backoff;
       flow_->wait_for_release(std::chrono::microseconds(500));
     }
-    // Last-resort valve: after several seconds with no credit, no
-    // processable inbox work, and no progress, take an (unbounded but
-    // counted) emergency credit rather than risk a pathological stall.
-    // Healthy runs never reach this; tests assert the counter stays 0.
+    // A credit drought with no inbound work to divert to has lasted the
+    // whole starvation window: §3.3 bounds buffer memory, so no credit
+    // beyond the budget is ever minted — the query aborts cleanly instead.
     if (!starved) {
       starved.emplace();
-    } else if (w.nesting >= config_->max_pickup_nesting &&
-               config_->flow_starvation_abort_ms != 0 &&
+    } else if (config_->flow_starvation_abort_ms != 0 &&
                starved->elapsed_ms() >
                    static_cast<double>(config_->flow_starvation_abort_ms)) {
-      // At the pickup-nesting cap this worker cannot divert to inbound
-      // work, so a sustained credit drought cannot self-heal: convert the
-      // silent stall into a clean budget abort (below the 5s emergency
-      // valve, which stays the last resort for the uncapped case).
-      trip_abort(AbortReason::kNestingBudget);
+      trip_abort(AbortReason::kCreditStarvation);
       return std::nullopt;
-    } else if (starved->elapsed_seconds() > 5.0) {
-      RPQD_WARN << "machine " << static_cast<int>(id_)
-                << ": emergency flow-control credit for stage " << stage;
-      if (w.prof && stall) {
-        w.prof->note_stall(CreditClass::kEmergency, stall->elapsed_ms());
-      }
-      return flow_->acquire_emergency();
     }
   }
 }
@@ -942,7 +885,7 @@ bool MachineRuntime::machine_idle() const {
       return false;
     }
   }
-  return !net_->inbox(id_).has_data() && shared_tasks_.empty();
+  return !net_->inbox(id_).has_data();
 }
 
 void MachineRuntime::worker_main(unsigned worker_index) {
@@ -980,16 +923,6 @@ void MachineRuntime::worker_main(unsigned worker_index) {
     if (auto msg = inbox.try_pop_data(net_->stats())) {
       w.busy.store(true, std::memory_order_seq_cst);
       process_message(w, std::move(*msg));
-      idle_iterations = 0;
-      continue;
-    }
-    // (i-b) aDFS: adopt a shared local traversal from a busy peer.
-    if (auto task = shared_tasks_.try_pop()) {
-      w.busy.store(true, std::memory_order_seq_cst);
-      shared_queued_.fetch_sub(1, std::memory_order_relaxed);
-      run_context(w, task->stage, task->vertex, task->depth, task->rpid,
-                  std::move(task->slots));
-      note_frame_popped(task->stage, group_of(task->stage), task->depth);
       idle_iterations = 0;
       continue;
     }
@@ -1115,12 +1048,6 @@ void MachineRuntime::abort_drain(Worker& w) {
     w.discarded += buf.count;
   }
   w.out.clear();
-  // aDFS tasks nobody will adopt anymore.
-  while (auto task = shared_tasks_.try_pop()) {
-    shared_queued_.fetch_sub(1, std::memory_order_relaxed);
-    note_frame_popped(task->stage, group_of(task->stage), task->depth);
-    ++w.discarded;
-  }
   // Drain still-queued inbound batches, replying DONE for each so the
   // senders' credits come home (outstanding must reach 0 cluster-wide).
   // A crashed machine does nothing here — the fabric blackholes traffic
@@ -1179,12 +1106,10 @@ void MachineRuntime::merge_profile(QueryProfile& out) const {
   sum.credit_fast_path += fs.fast_path;
   sum.credit_shared += fs.shared_used;
   sum.credit_overflow += fs.overflow_used;
-  sum.credit_emergency += fs.emergency_used;
   sum.credit_blocked += fs.blocked;
   sum.term_rounds += detector_.broadcast_rounds();
   sum.peak_live_contexts = peak_live_contexts();
   sum.discarded_contexts += discarded_contexts();
-  sum.adfs_shared_tasks += shared_task_count();
   sum.mirror_fanouts += mirror_fanout_count();
   sum.mirror_expands += mirror_expand_count();
   sum.total_contexts += total_stage_visits();

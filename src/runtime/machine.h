@@ -70,7 +70,7 @@ class MachineRuntime {
   void merge_profile(QueryProfile& out) const;
 
   /// Contexts this machine discarded on the abort path (unsent buffer
-  /// contents, unprocessed inbox batches, dropped shared tasks).
+  /// contents, unprocessed inbox batches).
   std::uint64_t discarded_contexts() const;
   /// High-water mark of simultaneously-live execution frames — the
   /// max_live_contexts budget's tracked quantity (tracked always).
@@ -202,9 +202,9 @@ class MachineRuntime {
   void trip_abort(AbortReason reason);
   /// Unwinds a halted traversal (balances slot shadows + detector).
   void unwind(RunState& rs);
-  /// Post-halt reclamation: returns this worker's out-buffer credits,
-  /// discards shared tasks, and (unless this machine crashed) replies
-  /// DONE for every still-queued inbound batch.
+  /// Post-halt reclamation: returns this worker's out-buffer credits
+  /// and (unless this machine crashed) replies DONE for every
+  /// still-queued inbound batch.
   void abort_drain(Worker& w);
   // Frame accounting around the termination detector: live/peak counts
   // feed the max_live_contexts budget and the leak audit.
@@ -228,13 +228,6 @@ class MachineRuntime {
     ctx.slots = slots.data();
     return ctx;
   }
-
-  // ---- aDFS work sharing (§5 extension) ----
-  /// Tries to offload a local child traversal to an idle peer worker.
-  /// Returns false when sharing is off, no peer is idle, or the queue is
-  /// full — the caller then recurses as usual.
-  bool try_share_local(Worker& w, StageId stage, VertexId vertex, Depth depth,
-                       std::uint64_t rpid, const std::vector<Value>& slots);
 
   // ---- hot-vertex delegated fan-out (DESIGN.md §14) ----
   /// Delegation gate for a kNeighbor frame whose current vertex is hot:
@@ -261,9 +254,8 @@ class MachineRuntime {
   const PartitionView* part_;
   const ExecPlan* plan_;
   const EngineConfig* config_;
-  // Static half of the delegation gate (knob on + snapshot has mirrors);
-  // the dynamic half (peers armed via kMirrorRefresh) is polled per hot
-  // frame. False keeps the traversal hot path byte-identical to §13.
+  // Delegation gate: the snapshot has mirrors and there are peers. False
+  // keeps the traversal hot path byte-identical to §13.
   bool mirror_armed_ = false;
   Network* net_;
   AbortController* abort_;
@@ -275,16 +267,8 @@ class MachineRuntime {
   std::vector<int> stage_group_;  // stage -> rpq index_id, or -1
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> done_{false};
-  // aDFS: machine-local shared task queue + statistics.
-  MpmcQueue<Context> shared_tasks_;
-  std::atomic<std::uint32_t> shared_queued_{0};
-  std::atomic<std::uint64_t> shared_total_{0};
 
  public:
-  /// Number of traversals offloaded via aDFS work sharing (stats).
-  std::uint64_t shared_task_count() const {
-    return shared_total_.load(std::memory_order_relaxed);
-  }
   /// Hot-vertex frames whose remote fan-out was delegated to peers'
   /// mirrors, and delegations this machine expanded (DESIGN.md §14).
   std::uint64_t mirror_fanout_count() const {

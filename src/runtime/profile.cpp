@@ -158,22 +158,18 @@ std::string QueryProfile::text() const {
     char buf[320];
     std::snprintf(
         buf, sizeof buf,
-        "credits m%zu: fast=%llu shared=%llu overflow=%llu emergency=%llu "
+        "credits m%zu: fast=%llu shared=%llu overflow=%llu "
         "blocked=%llu stalls=%llu stall_ms=%.3f term_rounds=%llu "
         "peak_live=%llu discarded=%llu",
         m, static_cast<ull>(sum.credit_fast_path),
         static_cast<ull>(sum.credit_shared),
         static_cast<ull>(sum.credit_overflow),
-        static_cast<ull>(sum.credit_emergency),
         static_cast<ull>(sum.credit_blocked),
         static_cast<ull>(sum.stall_events), sum.stall_ms_total(),
         static_cast<ull>(sum.term_rounds),
         static_cast<ull>(sum.peak_live_contexts),
         static_cast<ull>(sum.discarded_contexts));
     out << buf;
-    if (sum.adfs_shared_tasks > 0) {
-      out << " adfs=" << sum.adfs_shared_tasks;
-    }
     if (sum.mirror_fanouts + sum.mirror_expands > 0) {
       out << " mirror_fanouts=" << sum.mirror_fanouts
           << " mirror_expands=" << sum.mirror_expands;
@@ -181,7 +177,7 @@ std::string QueryProfile::text() const {
     if (sum.stall_events > 0) {
       // Stall breakdown by the credit class that resolved the stall.
       static const char* kClassNames[kNumCreditClasses] = {
-          "fixed", "dedicated", "shared", "overflow", "emergency"};
+          "fixed", "dedicated", "shared", "overflow"};
       out << " (";
       bool first = true;
       for (unsigned c = 0; c < kNumCreditClasses; ++c) {
@@ -295,21 +291,19 @@ std::string QueryProfile::to_json() const {
     std::snprintf(
         buf, sizeof buf,
         "%s{\"m\": %zu, \"fast_path\": %llu, \"shared\": %llu, "
-        "\"overflow\": %llu, \"emergency\": %llu, \"blocked\": %llu, "
+        "\"overflow\": %llu, \"blocked\": %llu, "
         "\"stall_events\": %llu, \"stall_ms\": %.3f, \"term_rounds\": %llu, "
-        "\"peak_live\": %llu, \"discarded\": %llu, \"adfs_shared\": %llu, "
+        "\"peak_live\": %llu, \"discarded\": %llu, "
         "\"mirror_fanouts\": %llu, \"mirror_expands\": %llu, "
         "\"contexts\": %llu}",
         m == 0 ? "" : ", ", m, static_cast<ull>(sum.credit_fast_path),
         static_cast<ull>(sum.credit_shared),
         static_cast<ull>(sum.credit_overflow),
-        static_cast<ull>(sum.credit_emergency),
         static_cast<ull>(sum.credit_blocked),
         static_cast<ull>(sum.stall_events), sum.stall_ms_total(),
         static_cast<ull>(sum.term_rounds),
         static_cast<ull>(sum.peak_live_contexts),
         static_cast<ull>(sum.discarded_contexts),
-        static_cast<ull>(sum.adfs_shared_tasks),
         static_cast<ull>(sum.mirror_fanouts),
         static_cast<ull>(sum.mirror_expands),
         static_cast<ull>(sum.total_contexts));

@@ -37,7 +37,7 @@ namespace rpqd {
 
 /// Number of CreditClass values (message.h); stall time is attributed to
 /// the class that eventually resolved the stall.
-inline constexpr unsigned kNumCreditClasses = 5;
+inline constexpr unsigned kNumCreditClasses = 4;
 
 /// Leaf of the profile tree: one (stage, machine, depth) cell.
 struct ProfileDepthRow {
@@ -79,7 +79,6 @@ struct ProfileMachineSummary {
   std::uint64_t credit_fast_path = 0;  // lock-free grants (dedicated+shared)
   std::uint64_t credit_shared = 0;
   std::uint64_t credit_overflow = 0;
-  std::uint64_t credit_emergency = 0;
   std::uint64_t credit_blocked = 0;  // failed try_acquire calls
   /// Wall time spent stalled in the blocking credit acquire, attributed
   /// to the CreditClass that eventually resolved the stall.
@@ -90,10 +89,7 @@ struct ProfileMachineSummary {
   // max_live_contexts budget's tracked quantity) and abort-path drops.
   std::uint64_t peak_live_contexts = 0;
   std::uint64_t discarded_contexts = 0;
-  /// Traversals offloaded to idle peer workers via aDFS work sharing
-  /// (machine.h shared_task_count); 0 with adfs_work_sharing off.
-  std::uint64_t adfs_shared_tasks = 0;
-  // Skew-aware balancing (DESIGN.md §14); 0 with the knobs off.
+  // Skew-aware balancing (DESIGN.md §14); 0 without a hot set.
   std::uint64_t mirror_fanouts = 0;  // hot frames delegated (send side)
   std::uint64_t mirror_expands = 0;  // delegations expanded (recv side)
   /// Frames entered across all stages on this machine — the per-machine

@@ -69,7 +69,6 @@ struct RuntimeStats {
   std::uint64_t flow_blocked = 0;
   std::uint64_t flow_shared_used = 0;
   std::uint64_t flow_overflow_used = 0;
-  std::uint64_t flow_emergency = 0;  // should stay 0; safety valve
   /// Credits still outstanding after the run drained — a leak detector;
   /// always 0 on a healthy run (asserted by the differential harness).
   std::uint64_t flow_outstanding = 0;
@@ -91,9 +90,7 @@ struct RuntimeStats {
   std::uint64_t acks_sent = 0;         // standalone kAck messages
   std::uint64_t payload_corruptions_detected = 0;  // CRC32 catches
   std::uint64_t dedup_drops = 0;       // link-seq duplicate deliveries dropped
-  // aDFS work sharing (when enabled).
-  std::uint64_t adfs_shared_tasks = 0;
-  // Skew-aware balancing (DESIGN.md §14); all 0 with the knobs off.
+  // Skew-aware balancing (DESIGN.md §14); all 0 without a hot set.
   std::uint64_t mirror_fanouts = 0;   // hot frames delegated to peers
   std::uint64_t mirror_expands = 0;   // delegations expanded locally
   /// Frames entered per machine (all stages) — the load distribution the

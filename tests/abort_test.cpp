@@ -5,9 +5,9 @@
 // protocol): any abort — user cancel, deadline, budget trip, or crash —
 // ends the query with a clean QueryResult{aborted, abort_reason}; every
 // flow-control credit comes home (outstanding == 0, overflow bookkeeping
-// empty, no emergency credit), the reach index holds no duplicate keys,
-// and the Database is fully reusable: re-running the same query yields
-// the exact oracle count again.
+// empty), the reach index holds no duplicate keys, and the Database is
+// fully reusable: re-running the same query yields the exact oracle
+// count again.
 //
 // The corpus companion (tests/corpus/abort/abort_shapes.txt) pins the
 // named abort shapes — cancel at depth 0, cancel during the §3.4
@@ -55,8 +55,6 @@ void check_abort_invariants(const QueryResult& result,
       << "credit leak after abort; " << what;
   EXPECT_EQ(result.stats.flow_overflow_outstanding, 0u)
       << "stale overflow bookkeeping after abort; " << what;
-  EXPECT_EQ(result.stats.flow_emergency, 0u)
-      << "emergency credit taken; " << what;
   for (std::size_t g = 0; g < result.stats.rpq.size(); ++g) {
     EXPECT_EQ(result.stats.rpq[g].index_duplicate_entries, 0u)
         << "duplicate reach-index entries in group " << g << "; " << what;
@@ -225,46 +223,46 @@ TEST(AbortLifecycle, UnreachedDepthCapDoesNotReportTruncation) {
   EXPECT_EQ(result.count, oracle_count(query, synthetic::make_chain(6)));
 }
 
-// ------------------------------------------- nesting-cap starvation (S2) --
+// ------------------------------------------------- credit starvation --
 
-TEST(AbortLifecycle, NestingCapStarvationConvertsToBudgetAbort) {
+TEST(AbortLifecycle, CreditStarvationAborts) {
   // Deterministic permanent credit block: zero shared and zero overflow
-  // credits leave no credit source for depths past the dedicated window,
-  // and max_pickup_nesting = 0 forbids the blocked worker from diverting
-  // to inbound work. Previously this stalled silently until the 5s
-  // emergency valve; now it converts into a clean kNestingBudget abort
-  // at flow_starvation_abort_ms.
-  EngineConfig ec = small_config();
-  ec.workers_per_machine = 1;
-  ec.rpq_shared_credits_per_stage = 0;
-  ec.rpq_overflow_credits_per_depth = 0;
-  ec.max_pickup_nesting = 0;
-  ec.flow_starvation_abort_ms = 100;
-  ec.buffer_bytes = 32;  // flush every context immediately
-  // chain vertices alternate owners under the modulo partition, so the
-  // walk crosses machines at every hop and must reach depth >= 4.
-  Database db(synthetic::make_chain(12), 2, ec);
-  const auto start = std::chrono::steady_clock::now();
-  const QueryResult result =
-      db.query("SELECT COUNT(*) FROM MATCH (v0) -/:next*/-> (v1)");
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  ASSERT_TRUE(result.aborted);
-  EXPECT_EQ(result.abort_reason, AbortReason::kNestingBudget);
-  check_abort_invariants(result, "nesting starvation");
-  // Well below the 5s emergency valve.
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(),
-            5);
+  // credits leave no credit source for depths past the dedicated window.
+  // Whether or not the blocked worker may divert to inbound work, once
+  // the inbox runs dry the drought cannot self-heal, and the query must
+  // end in a clean kCreditStarvation abort at flow_starvation_abort_ms
+  // instead of minting credit beyond the §3.3 budget.
+  const std::string query =
+      "SELECT COUNT(*) FROM MATCH (v0) -/:next*/-> (v1)";
+  for (const unsigned nesting : {0u, 1024u}) {
+    SCOPED_TRACE("max_pickup_nesting=" + std::to_string(nesting));
+    EngineConfig ec = small_config();
+    ec.workers_per_machine = 1;
+    ec.rpq_shared_credits_per_stage = 0;
+    ec.rpq_overflow_credits_per_depth = 0;
+    ec.max_pickup_nesting = nesting;
+    ec.flow_starvation_abort_ms = 100;
+    ec.buffer_bytes = 32;  // flush every context immediately
+    // chain vertices alternate owners under the modulo partition, so the
+    // walk crosses machines at every hop and must reach depth >= 4.
+    Database db(synthetic::make_chain(12), 2, ec);
+    const auto start = std::chrono::steady_clock::now();
+    const QueryResult result = db.query(query);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(result.aborted);
+    EXPECT_EQ(result.abort_reason, AbortReason::kCreditStarvation);
+    check_abort_invariants(result, "credit starvation");
+    EXPECT_LT(
+        std::chrono::duration_cast<std::chrono::seconds>(elapsed).count(), 5);
 
-  // With sane credits restored the same Database answers exactly.
-  db.config().rpq_shared_credits_per_stage = 5;
-  db.config().rpq_overflow_credits_per_depth = 1;
-  db.config().max_pickup_nesting = 1024;
-  const QueryResult rerun =
-      db.query("SELECT COUNT(*) FROM MATCH (v0) -/:next*/-> (v1)");
-  EXPECT_FALSE(rerun.aborted);
-  EXPECT_EQ(rerun.count,
-            oracle_count("SELECT COUNT(*) FROM MATCH (v0) -/:next*/-> (v1)",
-                         synthetic::make_chain(12)));
+    // With sane credits restored the same Database answers exactly.
+    db.config().rpq_shared_credits_per_stage = 5;
+    db.config().rpq_overflow_credits_per_depth = 1;
+    db.config().max_pickup_nesting = 1024;
+    const QueryResult rerun = db.query(query);
+    EXPECT_FALSE(rerun.aborted);
+    EXPECT_EQ(rerun.count, oracle_count(query, synthetic::make_chain(12)));
+  }
 }
 
 TEST(AbortLifecycle, NestingCapZeroWithSaneCreditsStaysCorrect) {
@@ -414,7 +412,7 @@ TEST(AbortFabric, AbortControllerFirstRequestFixesTheReason) {
   EXPECT_FALSE(abort_reason_retryable(AbortReason::kDeadline));
   EXPECT_TRUE(abort_reason_retryable(AbortReason::kMachineFailure));
   EXPECT_TRUE(abort_reason_retryable(AbortReason::kContextBudget));
-  EXPECT_TRUE(abort_reason_retryable(AbortReason::kNestingBudget));
+  EXPECT_TRUE(abort_reason_retryable(AbortReason::kCreditStarvation));
 }
 
 // --------------------------------------------------------------- corpus --

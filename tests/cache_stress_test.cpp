@@ -97,7 +97,6 @@ void run_cache_stress(const StressConfig& sc) {
       // Per-query isolation: executed results drained clean; hits and
       // coalesced results replay the leader's clean stats.
       EXPECT_EQ(result.stats.flow_outstanding, 0u) << repro;
-      EXPECT_EQ(result.stats.flow_emergency, 0u) << repro;
       for (const auto& r : result.stats.rpq) {
         EXPECT_EQ(r.index_duplicate_entries, 0u) << repro;
       }

@@ -146,7 +146,6 @@ TEST(ConcurrencyStress, FlowControlCreditsConserve) {
   const auto stats = fc.stats();
   EXPECT_GT(stats.acquired, 0u);
   EXPECT_GT(stats.fast_path, 0u);
-  EXPECT_EQ(stats.emergency_used, 0u);
   // Pools refilled: a full per-slot allowance is grantable again.
   std::vector<CreditClass> drained;
   while (const auto c = fc.try_acquire(0, 0, 0)) drained.push_back(*c);

@@ -133,7 +133,7 @@ TEST(CorpusReplay, AllEntriesAgreeWithOracleAndHoldInvariants) {
     EXPECT_EQ(result.count, expected);
     EXPECT_EQ(result.stats.flow_outstanding, 0u);
     EXPECT_EQ(result.stats.flow_overflow_outstanding, 0u);
-    EXPECT_EQ(result.stats.flow_emergency, 0u);
+    EXPECT_NE(result.abort_reason, AbortReason::kCreditStarvation);
     // Profile totals must reconcile exactly with the fabric counters on
     // every replayed fault schedule.
     ASSERT_TRUE(result.profile.enabled);

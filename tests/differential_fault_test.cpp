@@ -6,7 +6,7 @@
 // partition counts, and every run must (a) produce the exact result set
 // of the brute-force reference oracle and (b) uphold the engine's
 // distributed invariants:
-//   - all flow-control credits returned (no leak, no emergency credit),
+//   - all flow-control credits returned (no leak, no credit starvation),
 //     and the overflow bookkeeping sets fully emptied,
 //   - the §3.4 termination consensus depth equals the max observed depth,
 //   - the §3.5 reachability index contains no duplicate (dst, rpid) key,
@@ -48,8 +48,8 @@ void check_invariants(const QueryResult& result, const std::string& repro) {
       << "flow-control credit leak; " << repro;
   EXPECT_EQ(result.stats.flow_overflow_outstanding, 0u)
       << "stale overflow credit bookkeeping; " << repro;
-  EXPECT_EQ(result.stats.flow_emergency, 0u)
-      << "emergency credit taken; " << repro;
+  EXPECT_NE(result.abort_reason, AbortReason::kCreditStarvation)
+      << "credit starvation; " << repro;
   if (result.profile.enabled) {
     // Profile/stats reconciliation: the tree's leaves must sum exactly
     // to the fabric counters, under every fault schedule — dropped or

@@ -45,7 +45,9 @@ class ExprTest : public ::testing::Test {
 
 TEST_F(ExprTest, Constants) {
   EXPECT_EQ(as_int(CompiledExpr::constant(int_value(7)).evaluate(ctx()).v), 7);
-  const auto text = CompiledExpr::constant_text("zzz").evaluate(ctx());
+  // The evaluated text points into the expression: keep it alive.
+  const CompiledExpr zzz = CompiledExpr::constant_text("zzz");
+  const auto text = zzz.evaluate(ctx());
   ASSERT_NE(text.text, nullptr);
   EXPECT_EQ(*text.text, "zzz");
 }

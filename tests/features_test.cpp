@@ -212,46 +212,6 @@ TEST(StageBreakdown, VisitsAndRemoteCountsPopulated) {
   }
 }
 
-
-// ------------------------- aDFS work sharing (§5 extension) ------------
-
-TEST(AdfsWorkSharing, ResultsInvariant) {
-  EngineConfig cfg;
-  cfg.workers_per_machine = 3;
-  Database off(synthetic::make_tree(3, 4), 3, cfg);
-  cfg.adfs_work_sharing = true;
-  Database on(synthetic::make_tree(3, 4), 3, cfg);
-  for (const char* q : {
-           "SELECT COUNT(*) FROM MATCH (c) -/:replyOf+/-> (r:Root)",
-           "SELECT COUNT(*) FROM MATCH (c) -/:replyOf{1,2}/-> (p)",
-       }) {
-    EXPECT_EQ(on.query(q).count, off.query(q).count) << q;
-  }
-}
-
-TEST(AdfsWorkSharing, SharesWorkWhenPeersAreIdle) {
-  // A single-start query bootstraps on one worker only; with sharing on,
-  // its subtree must spread to the idle peers.
-  EngineConfig cfg;
-  cfg.workers_per_machine = 4;
-  cfg.adfs_work_sharing = true;
-  Database db(synthetic::make_tree(2, 7), 1, cfg);  // deep tree, 1 machine
-  const auto r = db.query(
-      "SELECT COUNT(*) FROM MATCH (r:Root) <-/:replyOf*/- (c) "
-      "WHERE ID(r) = 0");
-  EXPECT_EQ(r.count, 255u);  // 2^8 - 1 vertices including the root
-  EXPECT_GT(r.stats.adfs_shared_tasks, 0u);
-}
-
-TEST(AdfsWorkSharing, DisabledByDefault) {
-  EngineConfig cfg;
-  cfg.workers_per_machine = 4;
-  Database db(synthetic::make_tree(2, 5), 1, cfg);
-  const auto r = db.query(
-      "SELECT COUNT(*) FROM MATCH (r:Root) <-/:replyOf*/- (c)");
-  EXPECT_EQ(r.stats.adfs_shared_tasks, 0u);
-}
-
 // ------------------------- regressions ---------------------------------
 
 // Regression: macro-variable slots written by a deeper RPQ iteration must

@@ -105,16 +105,6 @@ TEST(FlowControl, SharedReleaseRoundTrip) {
   EXPECT_EQ(*fc.try_acquire(0, 0, 5), CreditClass::kRpqShared);
 }
 
-TEST(FlowControl, EmergencyIsCountedAndUnbounded) {
-  FlowControl fc(small_config(), 1, {false});
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(fc.acquire_emergency(), CreditClass::kEmergency);
-  }
-  EXPECT_EQ(fc.stats().emergency_used, 5u);
-  for (int i = 0; i < 5; ++i) fc.release(0, 0, 0, CreditClass::kEmergency);
-  EXPECT_EQ(fc.outstanding(), 0u);
-}
-
 TEST(FlowControl, ReleaseWithoutAcquireThrows) {
   FlowControl fc(small_config(), 1, {false});
   EXPECT_THROW(fc.release(0, 0, 0, CreditClass::kFixed), EngineError);

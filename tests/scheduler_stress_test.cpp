@@ -91,7 +91,6 @@ void run_stress(const StressShape& shape) {
           const QueryResult r = db.await(ticket);
           EXPECT_EQ(r.stats.flow_outstanding, 0u);
           EXPECT_EQ(r.stats.flow_overflow_outstanding, 0u);
-          EXPECT_EQ(r.stats.flow_emergency, 0u);
           if (r.aborted) {
             EXPECT_EQ(r.abort_reason, AbortReason::kUserCancel);
             cancelled.fetch_add(1, std::memory_order_relaxed);

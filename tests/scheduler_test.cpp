@@ -215,7 +215,6 @@ TEST(Scheduler, ThinPartitionStaysLiveAndCorrect) {
     EXPECT_FALSE(r.aborted);
     EXPECT_EQ(r.count, blocking.count);
     EXPECT_EQ(r.stats.flow_outstanding, 0u);
-    EXPECT_EQ(r.stats.flow_emergency, 0u);
   }
 }
 

@@ -4,9 +4,10 @@
 // Repartitioner, the flush-ordering invariant, the skew regression corpus
 // (tests/corpus/skew), and the rebuild-vs-query race stress.
 //
-// The contract under test everywhere: arming the balancing knobs changes
-// WHERE work runs, never WHAT the query returns — every run is checked
-// against baseline::reference_evaluate on the exact snapshot it pinned.
+// The contract under test everywhere: installing a hot set or a
+// repartitioned map changes WHERE work runs, never WHAT the query
+// returns — every run is checked against baseline::reference_evaluate on
+// the exact snapshot it pinned.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -189,9 +190,7 @@ TEST(HotMirror, DelegatedFanoutIsExactAndCounted) {
   const Graph oracle = synthetic::make_tree(8, 2);
   const std::uint64_t expected = baseline::reference_evaluate(q, oracle).count;
 
-  EngineConfig ec = small_config();
-  ec.hot_mirror_fanout = true;
-  Database db(synthetic::make_tree(8, 2), 3, ec);
+  Database db(synthetic::make_tree(8, 2), 3, small_config());
   db.repartition(all_on_machine0(db.graph()));
   db.set_hot_vertices(top_degree(db.graph(), 4));
   EXPECT_EQ(db.hot_vertices().size(), 4u);
@@ -212,8 +211,8 @@ TEST(HotMirror, DelegatedFanoutIsExactAndCounted) {
   EXPECT_GT(spread.stats.mirror_fanouts, 0u);
   EXPECT_GT(spread.stats.mirror_expands, 0u);
 
-  // Disarm: identical result, zero mirror traffic.
-  db.config().hot_mirror_fanout = false;
+  // Disarm by dropping the hot set: identical result, zero mirror traffic.
+  db.set_hot_vertices({});
   const QueryResult off = db.query(q);
   EXPECT_EQ(off.count, expected);
   EXPECT_EQ(off.stats.mirror_fanouts, 0u);
@@ -223,9 +222,7 @@ TEST(HotMirror, DelegatedFanoutIsExactAndCounted) {
 TEST(HotMirror, ProfileIdentitiesHoldWithDelegationOn) {
   const char* q =
       "PROFILE SELECT COUNT(*) FROM MATCH (a:Root) <-/:replyOf*/- (b)";
-  EngineConfig ec = small_config();
-  ec.hot_mirror_fanout = true;
-  Database db(synthetic::make_tree(6, 3), 4, ec);
+  Database db(synthetic::make_tree(6, 3), 4, small_config());
   db.set_hot_vertices(top_degree(db.graph(), 8));
   const QueryResult r = db.query(q);
   ASSERT_TRUE(r.profile.enabled);
@@ -267,9 +264,7 @@ TEST(HotMirror, EdgePropertyHopsDelegate) {
   cfg.seed = 7;
   const Graph oracle = synthetic::make_random(cfg);
   const std::uint64_t expected = baseline::reference_evaluate(q, oracle).count;
-  EngineConfig ec = small_config();
-  ec.hot_mirror_fanout = true;
-  Database db(synthetic::make_random(cfg), 3, ec);
+  Database db(synthetic::make_random(cfg), 3, small_config());
   db.set_hot_vertices(top_degree(db.graph(), 6));
   EXPECT_EQ(db.query(q).count, expected);
 }
@@ -280,9 +275,7 @@ TEST(HotMirror, ExactUnderEveryFaultSchedule) {
   const std::uint64_t expected = baseline::reference_evaluate(q, oracle).count;
   for (const auto& schedule : FaultPlan::schedule_names()) {
     SCOPED_TRACE("schedule=" + schedule);
-    EngineConfig ec = small_config();
-    ec.hot_mirror_fanout = true;
-    Database db(synthetic::make_tree(5, 3), 3, ec);
+    Database db(synthetic::make_tree(5, 3), 3, small_config());
     db.set_hot_vertices(top_degree(db.graph(), 4));
     db.set_fault_schedule(schedule, 11);
     // crash-stop / lossy-chaos arm a one-shot machine crash; the retry
@@ -320,9 +313,7 @@ TEST(MirrorCoherence, UpdatesOnAMirroredVertexRebuildItsMirrors) {
   // each epoch's query must match the reference on that exact epoch —
   // a stale mirror bucket would double- or under-count.
   const char* q = "SELECT COUNT(*) FROM MATCH (a) -/:next+/-> (b)";
-  EngineConfig ec = small_config();
-  ec.hot_mirror_fanout = true;
-  Database db(synthetic::make_chain(8), 3, ec);
+  Database db(synthetic::make_chain(8), 3, small_config());
   db.set_hot_vertices({0, 1});
   const std::uint64_t rebuilds0 = db.update_stats().mirror_rebuilds;
 
@@ -358,9 +349,7 @@ TEST(MirrorCoherence, UpdatesOnAMirroredVertexRebuildItsMirrors) {
 }
 
 TEST(MirrorCoherence, UpdatesOffTheHotSetLeaveMirrorsAlone) {
-  EngineConfig ec = small_config();
-  ec.hot_mirror_fanout = true;
-  Database db(synthetic::make_chain(10), 3, ec);
+  Database db(synthetic::make_chain(10), 3, small_config());
   db.set_hot_vertices({0});
   const std::uint64_t rebuilds0 = db.update_stats().mirror_rebuilds;
   UpdateBatch far;
@@ -565,21 +554,22 @@ TEST(SkewCorpusReplay, BalancedRunsMatchTheOracleAndTheUnbalancedRuns) {
     const std::uint64_t expected =
         baseline::reference_evaluate(e.query, oracle).count;
 
-    // Run the same line with balancing off and fully armed; both must
-    // match the oracle (and hence each other) under the fault schedule.
+    // Run the same line without a hot set and with it installed (which
+    // arms delegation); both must match the oracle (and hence each other)
+    // under the fault schedule.
     std::uint64_t counts[2] = {0, 0};
     for (const bool armed : {false, true}) {
-      EngineConfig ec = small_config();
-      ec.hot_mirror_fanout = armed;
-      Database db(make_graph(e.graph_spec), e.machines, ec);
+      Database db(make_graph(e.graph_spec), e.machines, small_config());
       if (e.part_spec == "all0") {
         db.repartition(all_on_machine0(db.graph()));
       } else if (e.part_spec != "hash") {
         FAIL() << "unknown part spec " << e.part_spec;
       }
       if (e.hot_spec.rfind("hot:", 0) == 0) {
-        db.set_hot_vertices(
-            top_degree(db.graph(), std::stoull(e.hot_spec.substr(4))));
+        if (armed) {
+          db.set_hot_vertices(
+              top_degree(db.graph(), std::stoull(e.hot_spec.substr(4))));
+        }
       } else if (e.hot_spec != "none") {
         FAIL() << "unknown hot spec " << e.hot_spec;
       }
@@ -626,9 +616,7 @@ TEST(SkewCorpusReplay, BalancedRunsMatchTheOracleAndTheUnbalancedRuns) {
 /// up (the tier2-skew-tsan preset is the data-race gate for the mirror
 /// rebuild paths).
 void run_skew_stress(unsigned rounds) {
-  EngineConfig ec = small_config();
-  ec.hot_mirror_fanout = true;
-  Database db(synthetic::make_tree(4, 4), 3, ec);
+  Database db(synthetic::make_tree(4, 4), 3, small_config());
   const char* q = "SELECT COUNT(*) FROM MATCH (a:Root) <-/:replyOf*/- (b)";
   db.set_hot_vertices(top_degree(db.graph(), 4));
 

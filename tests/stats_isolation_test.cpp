@@ -70,7 +70,7 @@ TEST(StatsIsolation, BackToBackQueriesAreIndependent) {
   for (const QueryResult* r : {&heavy, &light, &baseline}) {
     EXPECT_EQ(r->stats.flow_outstanding, 0u);
     EXPECT_EQ(r->stats.flow_overflow_outstanding, 0u);
-    EXPECT_EQ(r->stats.flow_emergency, 0u);
+    EXPECT_NE(r->abort_reason, AbortReason::kCreditStarvation);
   }
 }
 
@@ -167,7 +167,6 @@ TEST(StatsIsolation, OverlappingQueriesReconcileExactly) {
   for (const QueryResult* r : {&heavy, &light}) {
     EXPECT_EQ(r->stats.flow_outstanding, 0u);
     EXPECT_EQ(r->stats.flow_overflow_outstanding, 0u);
-    EXPECT_EQ(r->stats.flow_emergency, 0u);
   }
 }
 
@@ -200,7 +199,6 @@ TEST(StatsIsolation, MixedCancelCompleteWaveLeavesBooksClean) {
     const QueryResult r = db.await(*t);
     EXPECT_EQ(r.stats.flow_outstanding, 0u);
     EXPECT_EQ(r.stats.flow_overflow_outstanding, 0u);
-    EXPECT_EQ(r.stats.flow_emergency, 0u);
     if (r.aborted) {
       ++cancelled;
       EXPECT_EQ(r.abort_reason, AbortReason::kUserCancel);

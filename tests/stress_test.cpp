@@ -52,7 +52,7 @@ TEST(Stress, DeepChainUnbounded) {
   EXPECT_EQ(r.count, kN * (kN - 1) / 2);
   ASSERT_TRUE(r.stats.rpq[0].consensus_max_depth.has_value());
   EXPECT_EQ(*r.stats.rpq[0].consensus_max_depth, kN - 1);
-  EXPECT_EQ(r.stats.flow_emergency, 0u);
+  EXPECT_NE(r.abort_reason, AbortReason::kCreditStarvation);
 }
 
 TEST(Stress, RepeatedQueriesAreStableAndLeakFree) {

@@ -48,8 +48,8 @@ void check_invariants(const QueryResult& result, const std::string& repro) {
       << "flow-control credit leak; " << repro;
   EXPECT_EQ(result.stats.flow_overflow_outstanding, 0u)
       << "stale overflow credit bookkeeping; " << repro;
-  EXPECT_EQ(result.stats.flow_emergency, 0u)
-      << "emergency credit taken; " << repro;
+  EXPECT_NE(result.abort_reason, AbortReason::kCreditStarvation)
+      << "credit starvation; " << repro;
   for (std::size_t g = 0; g < result.stats.rpq.size(); ++g) {
     const RpqStageStats& r = result.stats.rpq[g];
     EXPECT_EQ(r.index_duplicate_entries, 0u)
