@@ -39,9 +39,9 @@ int main() {
       ec.rpq_preallocated_depth = window;
       auto pg = std::make_shared<const PartitionedGraph>(shared_graph, 8);
       DistributedEngine engine(pg, ec);
+      PreparedQuery prepared = engine.prepare(query);
       QueryResult result;
-      const double ms =
-          median_ms([&] { result = engine.execute(query); }, repeats);
+      const double ms = median_ms([&] { result = prepared.run(); }, repeats);
       std::printf("%-10u %-8u %12.2f %10llu %10llu %10llu %14llu\n", buffers,
                   window, ms,
                   static_cast<unsigned long long>(result.stats.flow_blocked),

@@ -37,9 +37,9 @@ int main() {
     ec.workers_per_machine = 2;
     ec.buffer_bytes = bytes;
     DistributedEngine engine(pg, ec);
+    PreparedQuery prepared = engine.prepare(query);
     QueryResult result;
-    const double ms =
-        median_ms([&] { result = engine.execute(query); }, repeats);
+    const double ms = median_ms([&] { result = prepared.run(); }, repeats);
     std::printf("%-12zu %12.2f %12llu %12llu %14llu\n", bytes, ms,
                 static_cast<unsigned long long>(result.stats.data_messages),
                 static_cast<unsigned long long>(result.stats.contexts_sent),
@@ -54,9 +54,9 @@ int main() {
     ec.buffer_bytes = 1024;
     ec.deep_message_priority = deep;
     DistributedEngine engine(pg, ec);
+    PreparedQuery prepared = engine.prepare(query);
     QueryResult result;
-    const double ms =
-        median_ms([&] { result = engine.execute(query); }, repeats);
+    const double ms = median_ms([&] { result = prepared.run(); }, repeats);
     std::printf("%-12s %12.2f %16llu\n", deep ? "deep-first" : "fifo", ms,
                 static_cast<unsigned long long>(
                     result.stats.peak_queued_bytes));

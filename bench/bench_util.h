@@ -4,17 +4,20 @@
 // printing.
 //
 // Environment knobs (all optional):
-//   RPQD_BENCH_SF       LDBC-like scale factor        (default 0.5)
+//   RPQD_BENCH_SF       LDBC-like scale factor        (default 1.0)
 //   RPQD_BENCH_REPEATS  runs per query, median taken  (default 3; paper 10)
 //   RPQD_BENCH_SEED     generator seed                (default 7)
+// A knob that is set but does not parse as a number exits 1.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <random>
 #include <string>
 #include <thread>
@@ -26,14 +29,30 @@
 
 namespace rpqd::bench {
 
-inline double env_double(const char* name, double fallback) {
+/// Reads a numeric environment knob, `fallback` when unset. A value that
+/// does not parse as a whole number of type T (trailing junk included)
+/// names the variable on stderr and exits 1: a typo must never run an
+/// empty benchmark that looks like a result.
+template <typename T>
+T env_number(const char* name, T fallback) {
   const char* value = std::getenv(name);
-  return value != nullptr ? std::atof(value) : fallback;
+  if (value == nullptr) return fallback;
+  const char* end = value + std::strlen(value);
+  T out{};
+  const auto [ptr, ec] = std::from_chars(value, end, out);
+  if (ec != std::errc{} || ptr != end || ptr == value) {
+    std::fprintf(stderr, "%s: invalid value '%s'\n", name, value);
+    std::exit(1);
+  }
+  return out;
+}
+
+inline double env_double(const char* name, double fallback) {
+  return env_number<double>(name, fallback);
 }
 
 inline int env_int(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atoi(value) : fallback;
+  return env_number<int>(name, fallback);
 }
 
 inline double bench_scale_factor() { return env_double("RPQD_BENCH_SF", 1.0); }

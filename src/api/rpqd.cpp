@@ -5,8 +5,7 @@
 #include <thread>
 
 #include "common/fault.h"
-#include "pgql/normalize.h"
-#include "rpq/cache_key.h"
+#include "runtime/admission.h"
 
 namespace rpqd {
 
@@ -19,54 +18,30 @@ Database::Database(Graph graph, unsigned num_machines, EngineConfig config) {
 }
 
 QueryResult Database::query(std::string_view pgql) {
-  ResultCache* cache = result_cache();
-  if (cache == nullptr) return engine_->execute(pgql);
-
-  // Single-flight result cache, leader-inline on the blocking path: the
-  // first asker executes; concurrent identical asks block on its flight.
-  // Compile first (parse errors never touch the cache), then pin the
-  // snapshot, then probe with the pinned epoch — the probe order is the
-  // coherence handshake: acquire() aborts loudly if the pin is newer
-  // than the cache's last invalidation (a mutation that skipped it).
-  bool profile_prefix = false;
-  const std::shared_ptr<const ExecPlan> plan =
-      engine_->compile(pgql, &profile_prefix);
-  const pgql::NormalizedQuery norm = pgql::normalize_query(pgql);
-  const bool profile =
-      profile_prefix || norm.profile || engine_->config_snapshot().profile;
-  std::shared_ptr<const GraphSnapshot> snap = engine_->current_snapshot();
-  ResultCache::Lookup look = cache->acquire(norm.text, profile, snap->epoch());
-  if (look.role == ResultCache::Role::kBypass) {
-    // An update published between the pin and the probe; re-pin once.
-    snap = engine_->current_snapshot();
-    look = cache->acquire(norm.text, profile, snap->epoch());
+  // The same admission as submit(); a leader or an uncached ask then
+  // runs inline on the caller's thread, and concurrent identical asks
+  // block on its flight.
+  Admission adm = admit(*engine_, result_cache(), pgql);
+  if (adm.role == ResultCache::Role::kHit) {
+    adm.hit.stats.result_cache_hit = true;
+    return std::move(adm.hit);
   }
-  if (look.role == ResultCache::Role::kHit) {
-    look.result.stats.result_cache_hit = true;
-    return std::move(look.result);
-  }
-  if (look.role == ResultCache::Role::kFollower) {
-    QueryResult result = ResultCache::await(look.flight);
+  if (adm.role == ResultCache::Role::kFollower) {
+    QueryResult result = ResultCache::await(adm.flight);
     result.stats.result_cache_coalesced = true;
     return result;
   }
   EngineConfig cfg = engine_->config_snapshot();
-  if (profile_prefix) cfg.profile = true;
-  if (look.role == ResultCache::Role::kBypass) {
-    // Still racing updates after the retry: run uncached on the pin.
-    QueryResult result = engine_->execute_plan(*plan, cfg, nullptr, snap);
-    result.stats.result_cache_bypassed = true;
-    return result;
-  }
+  cfg.profile = cfg.profile || adm.profile;
+  RunControl rc;
   try {
-    QueryResult result = engine_->execute_plan(*plan, cfg, nullptr, snap);
-    cache->complete(look.flight, norm.text, profile, result,
-                    result_cache_scope(*plan));
+    QueryResult result =
+        engine_->run(*adm.plan, std::move(cfg), rc, adm.snapshot);
+    adm.complete(result);
     return result;
   } catch (...) {
     // Followers of a throwing leader rethrow the same error.
-    cache->complete_error(look.flight, norm.text, profile,
-                          std::current_exception());
+    adm.complete_error(std::current_exception());
     throw;
   }
 }
@@ -226,8 +201,9 @@ unsigned Database::cancel_all() {
 QueryResult Database::run_with_retry(std::string_view pgql,
                                      const RetryPolicy& policy) {
   const unsigned attempts = std::max(1u, policy.max_attempts);
+  PreparedQuery prepared = engine_->prepare(pgql);
   for (unsigned attempt = 0;; ++attempt) {
-    QueryResult result = engine_->execute(pgql);
+    QueryResult result = prepared.run();
     result.stats.retries = attempt;
     if (!result.aborted || !abort_reason_retryable(result.abort_reason) ||
         attempt + 1 >= attempts) {

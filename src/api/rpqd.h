@@ -53,11 +53,14 @@ class Database {
 
   /// Parses and plans once; the returned PreparedQuery executes
   /// repeatedly without recompilation (valid while this Database lives).
+  /// A `PROFILE ` prefix profiles every run, as in query(). Runs bypass
+  /// the result cache.
   PreparedQuery prepare(std::string_view pgql) {
     return engine_->prepare(pgql);
   }
 
-  /// Returns the EXPLAIN rendering of the plan without executing.
+  /// Returns the EXPLAIN rendering of the plan without executing (a
+  /// `PROFILE ` prefix is accepted and ignored).
   std::string explain(std::string_view pgql) const;
 
   // ---- concurrent serving (runtime/scheduler.h) -------------------------

@@ -1,22 +1,11 @@
 #include "graph/repartition.h"
 
 #include <algorithm>
-#include <charconv>
 #include <numeric>
 
 namespace rpqd {
 
 namespace {
-
-/// Parses the unsigned integer starting at `pos` (after skipping spaces);
-/// returns false when no digits are there.
-bool parse_u64(std::string_view s, std::size_t pos, std::uint64_t& out) {
-  while (pos < s.size() && s[pos] == ' ') ++pos;
-  const char* begin = s.data() + pos;
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc{} && ptr != begin;
-}
 
 double imbalance_of(const std::vector<double>& cost) {
   const double total = std::accumulate(cost.begin(), cost.end(), 0.0);
@@ -49,48 +38,6 @@ void Repartitioner::observe(const std::vector<std::uint64_t>& machine_contexts) 
     observed_[m] += static_cast<double>(machine_contexts[m]);
   }
   ++observations_;
-}
-
-void Repartitioner::observe_profile(const QueryProfile& profile) {
-  std::vector<std::uint64_t> contexts;
-  contexts.reserve(profile.machines.size());
-  for (const auto& sum : profile.machines) {
-    contexts.push_back(sum.total_contexts);
-  }
-  observe(contexts);
-}
-
-bool Repartitioner::observe_profile_json(std::string_view json) {
-  // The credits array is the only place to_json() emits per-machine
-  // summaries; scope the scan to it so the stage rows' "contexts" keys
-  // (same spelling, different meaning) are never misread.
-  const std::size_t cred = json.find("\"credits\": [");
-  if (cred == std::string_view::npos) return false;
-  std::size_t stop = json.find(']', cred);
-  if (stop == std::string_view::npos) stop = json.size();
-  const std::string_view body = json.substr(cred, stop - cred);
-
-  std::vector<std::uint64_t> contexts(num_machines_, 0);
-  bool any = false;
-  std::size_t pos = 0;
-  while (true) {
-    const std::size_t mpos = body.find("\"m\": ", pos);
-    if (mpos == std::string_view::npos) break;
-    std::uint64_t machine = 0;
-    if (!parse_u64(body, mpos + 5, machine)) break;
-    const std::size_t cpos = body.find("\"contexts\": ", mpos);
-    if (cpos == std::string_view::npos) break;
-    std::uint64_t value = 0;
-    if (!parse_u64(body, cpos + 12, value)) break;
-    if (machine < contexts.size()) {
-      contexts[machine] += value;
-      any = true;
-    }
-    pos = cpos + 12;
-  }
-  if (!any) return false;
-  observe(contexts);
-  return true;
 }
 
 double Repartitioner::vertex_cost(VertexId v) const {

@@ -4,7 +4,7 @@
 // traversal frontier: a workload whose queries keep expanding the same
 // hub vertices piles its frames onto the hubs' owners. The Repartitioner
 // closes the loop offline: it replays per-machine load observations
-// (QueryProfile JSON dumps or RuntimeStats::machine_contexts vectors),
+// (RuntimeStats::machine_contexts vectors of finished queries),
 // attributes each machine's measured frame count to its owned vertices
 // in proportion to degree — the only per-vertex signal that survives
 // aggregation — and proposes
@@ -22,13 +22,11 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "common/types.h"
 #include "graph/graph.h"
 #include "graph/partition.h"
-#include "runtime/profile.h"
 
 namespace rpqd {
 
@@ -63,16 +61,7 @@ class Repartitioner {
   /// or longer than num_machines are clamped. Observations accumulate.
   void observe(const std::vector<std::uint64_t>& machine_contexts);
 
-  /// Feeds one in-memory QueryProfile (its per-machine total_contexts).
-  void observe_profile(const QueryProfile& profile);
-
-  /// Feeds one QueryProfile::to_json() dump: extracts the per-machine
-  /// "contexts" values from the "credits" array with a minimal scanner
-  /// (no JSON dependency). Returns false (observing nothing) when the
-  /// dump carries no credits array — e.g. profiling was disabled.
-  bool observe_profile_json(std::string_view json);
-
-  /// Queries observed so far (observe* calls that contributed load).
+  /// Queries observed so far (observe() calls).
   std::uint64_t observations() const { return observations_; }
 
   /// The modeled per-vertex expansion cost: the observed load of v's

@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "pgql/lexer.h"
+#include "pgql/parser.h"
 
 namespace rpqd::pgql {
 namespace {
@@ -98,6 +99,7 @@ std::string trimmed(std::string_view text) {
 
 NormalizedQuery normalize_query(std::string_view pgql) {
   NormalizedQuery out;
+  out.profile = strip_profile_prefix(pgql);
   std::vector<Token> tokens;
   try {
     tokens = tokenize(pgql);
@@ -105,15 +107,8 @@ NormalizedQuery normalize_query(std::string_view pgql) {
     out.text = trimmed(pgql);
     return out;
   }
-  std::size_t begin = 0;
-  if (!tokens.empty() && tokens[0].kind == TokenKind::kIdent &&
-      upper(tokens[0].text) == "PROFILE") {
-    out.profile = true;
-    begin = 1;
-  }
   TokenKind prev = TokenKind::kEnd;
-  for (std::size_t i = begin; i < tokens.size(); ++i) {
-    const Token& t = tokens[i];
+  for (const Token& t : tokens) {
     if (t.kind == TokenKind::kEnd) break;
     if (!out.text.empty()) out.text += ' ';
     out.text += render(t, prev);

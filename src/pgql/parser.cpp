@@ -475,6 +475,22 @@ class Parser {
 
 Query parse(std::string_view text) { return Parser(text).parse_query(); }
 
+bool strip_profile_prefix(std::string_view& text) {
+  std::string_view rest = text;
+  while (!rest.empty() &&
+         std::isspace(static_cast<unsigned char>(rest.front()))) {
+    rest.remove_prefix(1);
+  }
+  constexpr std::string_view kToken = "PROFILE";
+  if (rest.size() <= kToken.size() ||
+      upper(rest.substr(0, kToken.size())) != kToken ||
+      !std::isspace(static_cast<unsigned char>(rest[kToken.size()]))) {
+    return false;
+  }
+  text = rest.substr(kToken.size());
+  return true;
+}
+
 ExprPtr parse_expression(std::string_view text) {
   return Parser(text).parse_standalone_expr();
 }

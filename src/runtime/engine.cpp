@@ -1,7 +1,6 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
-#include <cctype>
 #include <optional>
 #include <thread>
 
@@ -73,87 +72,38 @@ void DistributedEngine::set_fault_plan(const FaultPlan& plan) {
   config_.fault_plan = plan;
 }
 
-namespace {
-
-/// Strips an optional leading case-insensitive `PROFILE` token (followed
-/// by whitespace) off the query text; returns whether it was present.
-bool strip_profile_prefix(std::string_view& pgql) {
-  std::string_view text = pgql;
-  while (!text.empty() &&
-         std::isspace(static_cast<unsigned char>(text.front()))) {
-    text.remove_prefix(1);
-  }
-  constexpr std::string_view kToken = "PROFILE";
-  if (text.size() <= kToken.size()) return false;
-  for (std::size_t i = 0; i < kToken.size(); ++i) {
-    if (std::toupper(static_cast<unsigned char>(text[i])) != kToken[i]) {
-      return false;
-    }
-  }
-  if (!std::isspace(static_cast<unsigned char>(text[kToken.size()]))) {
-    return false;
-  }
-  pgql = text.substr(kToken.size());
-  return true;
-}
-
-}  // namespace
-
-QueryResult DistributedEngine::execute(std::string_view pgql) {
-  const bool profile = strip_profile_prefix(pgql) || config_snapshot().profile;
-  const pgql::Query query = pgql::parse(pgql);
-  const ExecPlan plan = plan_query(query, graph_->catalog());
-  return run_plan(plan, profile);
-}
-
 std::shared_ptr<const ExecPlan> DistributedEngine::compile(
     std::string_view pgql, bool* profile_out) const {
-  const bool profile = strip_profile_prefix(pgql);
+  const bool profile = pgql::strip_profile_prefix(pgql);
   if (profile_out != nullptr) *profile_out = profile;
-  const pgql::Query query = pgql::parse(pgql);
   return std::make_shared<const ExecPlan>(
-      plan_query(query, graph_->catalog()));
+      plan_query(pgql::parse(pgql), graph_->catalog()));
+}
+
+PreparedQuery DistributedEngine::prepare(std::string_view pgql) {
+  PreparedQuery prepared;
+  prepared.engine_ = this;
+  prepared.plan_ = compile(pgql, &prepared.profile_);
+  return prepared;
 }
 
 std::string DistributedEngine::explain(std::string_view pgql) const {
-  const pgql::Query query = pgql::parse(pgql);
-  const ExecPlan plan = plan_query(query, graph_->catalog());
-  return plan.explain;
+  return compile(pgql, nullptr)->explain;
 }
 
-QueryResult DistributedEngine::execute_plan(const ExecPlan& plan) {
-  return run_plan(plan, config_snapshot().profile);
+QueryResult PreparedQuery::run() {
+  EngineConfig cfg = engine_->config_snapshot();
+  cfg.profile = cfg.profile || profile_;
+  RunControl rc;
+  return engine_->run(*plan_, std::move(cfg), rc, engine_->current_snapshot());
 }
 
-QueryResult DistributedEngine::execute_plan(const ExecPlan& plan,
-                                            const EngineConfig& cfg,
-                                            RunControl* rc) {
-  return run_plan_cfg(plan, cfg, rc, nullptr);
-}
-
-QueryResult DistributedEngine::execute_plan(
-    const ExecPlan& plan, const EngineConfig& cfg, RunControl* rc,
-    std::shared_ptr<const GraphSnapshot> snapshot) {
-  return run_plan_cfg(plan, cfg, rc, std::move(snapshot));
-}
-
-QueryResult DistributedEngine::run_plan(const ExecPlan& plan, bool profile) {
-  // Per-query effective config: the PROFILE prefix (or a prepared query
-  // on an engine whose profile flag changed) must not mutate the engine's
-  // shared configuration under concurrent executions.
-  EngineConfig cfg = config_snapshot();
-  cfg.profile = profile;
-  return run_plan_cfg(plan, std::move(cfg), nullptr, nullptr);
-}
-
-QueryResult DistributedEngine::run_plan_cfg(
-    const ExecPlan& plan, EngineConfig cfg, RunControl* rc,
-    std::shared_ptr<const GraphSnapshot> snap) {
-  // Pin the snapshot for the whole run (blocking path pins here; the
-  // scheduler pins earlier, at admission, and passes it in). Every
-  // machine traverses exactly this epoch; concurrent apply_update builds
-  // new snapshots without touching this one.
-  if (snap == nullptr) snap = current_snapshot();
+QueryResult DistributedEngine::run(const ExecPlan& plan, EngineConfig cfg,
+                                   RunControl& rc,
+                                   std::shared_ptr<const GraphSnapshot> snap) {
+  // Every machine traverses exactly the pinned epoch; concurrent
+  // apply_update builds new snapshots without touching this one.
+  engine_check(snap != nullptr, "run without a pinned snapshot");
   const unsigned num_machines = graph_->num_machines();
   const bool profile = cfg.profile;
   Stopwatch timer;
@@ -194,13 +144,13 @@ QueryResult DistributedEngine::run_plan_cfg(
   }
 
   {
-    std::lock_guard lock(active_mutex_);
-    active_runs_.push_back(ActiveRun{&abort, &net});
+    std::lock_guard lock(runs_mutex_);
+    live_runs_.push_back(&rc);
   }
-  // Targeted cancellation (scheduler path): attach after the machines
-  // exist so a pre-dispatch cancel's pending reason broadcasts into live
-  // inboxes and halts the workers before they do real work.
-  if (rc != nullptr) rc->attach(&abort, &net);
+  // Attach after the machines exist so a pre-dispatch cancel's pending
+  // reason broadcasts into live inboxes and halts the workers before
+  // they do real work.
+  rc.attach(&abort, &net);
 
   {
     // Deadline / failure-detector monitor: only spawned when something
@@ -240,13 +190,10 @@ QueryResult DistributedEngine::run_plan_cfg(
     if (monitor.joinable()) monitor.join();
   }
 
-  if (rc != nullptr) rc->detach();
+  rc.detach();
   {
-    std::lock_guard lock(active_mutex_);
-    active_runs_.erase(
-        std::remove_if(active_runs_.begin(), active_runs_.end(),
-                       [&](const ActiveRun& r) { return r.ctrl == &abort; }),
-        active_runs_.end());
+    std::lock_guard lock(runs_mutex_);
+    live_runs_.erase(std::find(live_runs_.begin(), live_runs_.end(), &rc));
   }
 
   const bool was_aborted = abort.armed();
@@ -441,41 +388,20 @@ QueryResult DistributedEngine::run_plan_cfg(
     }
     prof.machines.resize(num_machines);
     for (auto& machine : machines) machine->merge_profile(prof);
-    // Transport work is query-global, not stage-resolved (§13): copy the
-    // run's NetStats counters rather than merging worker slots.
-    prof.transport.faults_lost = stats.faults_lost;
-    prof.transport.faults_corrupted = stats.faults_corrupted;
-    prof.transport.retransmits = stats.retransmits;
-    prof.transport.acks_sent = stats.acks_sent;
-    prof.transport.payload_corruptions_detected =
-        stats.payload_corruptions_detected;
-    prof.transport.dedup_drops = stats.dedup_drops;
     prof.finish();
   }
   return result;
 }
 
 unsigned DistributedEngine::cancel_all() {
-  std::lock_guard lock(active_mutex_);
-  for (const ActiveRun& run : active_runs_) {
+  std::lock_guard lock(runs_mutex_);
+  unsigned live = 0;
+  for (RunControl* rc : live_runs_) {
     // First requester wins per run; if a budget/crash abort beat us the
     // broadcast is already in flight and the run still ends cleanly.
-    if (run.ctrl->request(AbortReason::kUserCancel)) {
-      run.net->broadcast_abort(AbortReason::kUserCancel);
-    }
+    if (rc->cancel(AbortReason::kUserCancel)) ++live;
   }
-  return static_cast<unsigned>(active_runs_.size());
+  return live;
 }
-
-PreparedQuery DistributedEngine::prepare(std::string_view pgql) {
-  const pgql::Query query = pgql::parse(pgql);
-  PreparedQuery prepared;
-  prepared.engine_ = this;
-  prepared.plan_ = std::make_shared<const ExecPlan>(
-      plan_query(query, graph_->catalog()));
-  return prepared;
-}
-
-QueryResult PreparedQuery::run() { return engine_->execute_plan(*plan_); }
 
 }  // namespace rpqd

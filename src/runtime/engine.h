@@ -43,13 +43,14 @@ struct QueryResult {
 
 class DistributedEngine;
 
-/// Cancellation handle for one scheduled run (concurrent serving). The
-/// scheduler creates one per submission and hands it to the engine; the
-/// engine attaches the run's abort controller + network while the run is
-/// live. `cancel` works at any point in the lifecycle: before dispatch
-/// it records a pending reason that attach() applies (so a cancel racing
-/// the dispatch is never lost), during the run it drives the normal
-/// cooperative abort broadcast, and after completion it is a no-op.
+/// Cancellation handle for one run. Every run has one: the scheduler
+/// creates it at submission, a blocking run keeps it on the caller's
+/// stack. The engine attaches the run's abort controller + network while
+/// the run is live and registers the handle for cancel_all. `cancel`
+/// works at any point in the lifecycle: before dispatch it records a
+/// pending reason that attach() applies (so a cancel racing the dispatch
+/// is never lost), during the run it drives the normal cooperative abort
+/// broadcast, and after completion it is a no-op. One run per handle.
 class RunControl {
  public:
   /// Requests a cooperative abort of the associated run. Returns true
@@ -62,6 +63,9 @@ class RunControl {
   void attach(AbortController* ctrl, Network* net);
   void detach();
 
+  // Lock order: DistributedEngine::runs_mutex_ -> mutex_ (cancel_all
+  // cancels registered handles under the registry lock); attach, detach
+  // and cancel never take the registry lock.
   std::mutex mutex_;
   AbortController* ctrl_ = nullptr;
   Network* net_ = nullptr;
@@ -69,10 +73,12 @@ class RunControl {
   bool finished_ = false;
 };
 
-/// A parsed + planned query that can be executed repeatedly without
-/// re-compilation. Valid as long as the owning engine lives.
+/// A compiled query that can be executed repeatedly without
+/// re-compilation. Valid as long as the owning engine lives. A `PROFILE `
+/// prefix on the prepared text profiles every run().
 class PreparedQuery {
  public:
+  /// Runs on the caller's thread against the current snapshot.
   QueryResult run();
   const ExecPlan& plan() const { return *plan_; }
   const std::string& explain() const { return plan_->explain; }
@@ -81,47 +87,37 @@ class PreparedQuery {
   friend class DistributedEngine;
   DistributedEngine* engine_ = nullptr;
   std::shared_ptr<const ExecPlan> plan_;
+  bool profile_ = false;
 };
 
 class DistributedEngine {
  public:
-  /// The machine count is taken from the partitioned graph; the config's
-  /// num_machines field is ignored here.
+  /// The machine count is taken from the partitioned graph.
   DistributedEngine(std::shared_ptr<const PartitionedGraph> graph,
                     EngineConfig config);
 
-  /// Parses, plans, and executes a PGQL query. A case-insensitive
-  /// `PROFILE ` prefix enables per-query profiling for this query only
-  /// (the result's QueryProfile tree is populated).
-  QueryResult execute(std::string_view pgql);
-
-  /// Parses and plans once; the returned query executes repeatedly.
-  PreparedQuery prepare(std::string_view pgql);
-
-  /// Parse + plan for the async serving path: a case-insensitive
-  /// `PROFILE ` prefix is reported through `*profile_out` (never
-  /// mutating the engine config). Throws QueryError like execute().
+  /// Parse + plan: the only place PGQL text becomes a plan. A
+  /// case-insensitive `PROFILE ` prefix is stripped and reported through
+  /// `*profile_out` (never mutating the engine config). Throws QueryError
+  /// on malformed or unsupported text.
   std::shared_ptr<const ExecPlan> compile(std::string_view pgql,
                                           bool* profile_out) const;
 
-  /// Executes an already-compiled plan.
-  QueryResult execute_plan(const ExecPlan& plan);
+  /// Compiles once; the returned query executes repeatedly.
+  PreparedQuery prepare(std::string_view pgql);
 
-  /// Concurrent-serving entry point (used by the QueryScheduler): runs
-  /// an already-compiled plan under a caller-supplied per-query config
-  /// (credit partition share, sliced budgets, profiling), registering
-  /// the run on `rc` (may be null) for targeted cancellation.
-  QueryResult execute_plan(const ExecPlan& plan, const EngineConfig& cfg,
-                           RunControl* rc);
+  /// Compiles a query and returns its EXPLAIN text without running it.
+  std::string explain(std::string_view pgql) const;
 
-  /// Same, against an explicit pinned snapshot (online updates,
-  /// DESIGN.md §12). The scheduler pins the snapshot at ADMISSION — before
-  /// its result-cache probe — so a cached entry admitted for this query's
-  /// epoch and the execution it may lead both describe the same graph.
-  /// Null runs against the engine's current snapshot.
-  QueryResult execute_plan(const ExecPlan& plan, const EngineConfig& cfg,
-                           RunControl* rc,
-                           std::shared_ptr<const GraphSnapshot> snapshot);
+  /// The one execution entry. Runs `plan` on the calling thread under
+  /// the per-query `cfg` (profiling, credit partition share, sliced
+  /// budgets) against `snapshot`, the graph version the caller pinned at
+  /// admission (DESIGN.md §12), so a cached entry admitted for that
+  /// epoch and the execution it may lead describe the same graph. `rc`
+  /// is registered for the run's duration, for targeted cancellation and
+  /// for cancel_all.
+  QueryResult run(const ExecPlan& plan, EngineConfig cfg, RunControl& rc,
+                  std::shared_ptr<const GraphSnapshot> snapshot);
 
   /// The snapshot new queries pin at admission.
   std::shared_ptr<const GraphSnapshot> current_snapshot() const;
@@ -129,9 +125,6 @@ class DistributedEngine {
   /// AFTER the result-cache notification for the same epoch, so a query
   /// can never pin an epoch the cache has not yet heard about.
   void install_snapshot(std::shared_ptr<const GraphSnapshot> snapshot);
-
-  /// Compiles a query and returns its EXPLAIN text without running it.
-  std::string explain(std::string_view pgql) const;
 
   const EngineConfig& config() const { return config_; }
   /// Direct mutable access for the single-threaded configuration phase
@@ -149,9 +142,10 @@ class DistributedEngine {
   void set_fault_plan(const FaultPlan& plan);
   const PartitionedGraph& graph() const { return *graph_; }
 
-  /// Requests a user cancel (AbortReason::kUserCancel) on every query
-  /// currently executing on this engine; returns how many were live.
-  /// Each aborts cooperatively and returns a clean QueryResult.
+  /// Requests a user cancel (AbortReason::kUserCancel) on every run
+  /// currently registered on this engine, blocking and scheduled alike;
+  /// returns how many were live. Each aborts cooperatively and returns a
+  /// clean QueryResult.
   unsigned cancel_all();
 
   /// Restarts the per-engine run counter that crash-stop fault plans
@@ -162,11 +156,6 @@ class DistributedEngine {
   }
 
  private:
-  QueryResult run_plan(const ExecPlan& plan, bool profile);
-  QueryResult run_plan_cfg(const ExecPlan& plan, EngineConfig cfg,
-                           RunControl* rc,
-                           std::shared_ptr<const GraphSnapshot> snapshot);
-
   std::shared_ptr<const PartitionedGraph> graph_;
   // Current graph snapshot (RCU-style): swapped by install_snapshot,
   // pinned (shared_ptr copy) by every run at admission.
@@ -177,15 +166,12 @@ class DistributedEngine {
   // mutable_config() writes are only legal while no query is in flight.
   mutable std::mutex config_mutex_;
   EngineConfig config_;
-  // Live-run registry for cancel_all: each run_plan registers its abort
-  // controller + network for the duration of the run (guarded so a
-  // concurrent cancel never touches a dying Network).
-  struct ActiveRun {
-    AbortController* ctrl;
-    Network* net;
-  };
-  std::mutex active_mutex_;
-  std::vector<ActiveRun> active_runs_;
+  // Live-run registry for cancel_all: every run registers its
+  // RunControl for the run's duration. Lock order: runs_mutex_ ->
+  // RunControl::mutex_; a run attaches/detaches its handle without
+  // holding runs_mutex_.
+  std::mutex runs_mutex_;
+  std::vector<RunControl*> live_runs_;
   // Concurrency audit: these two counters are deliberately ENGINE-GLOBAL
   // across concurrent queries. fault_run_seq_ assigns each run a unique
   // index so a crash-stop plan kills exactly one run in a concurrent

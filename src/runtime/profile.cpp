@@ -219,19 +219,6 @@ std::string QueryProfile::text() const {
       out << bbuf << '\n';
     }
   }
-  if (transport.any()) {
-    char tbuf[256];
-    std::snprintf(tbuf, sizeof tbuf,
-                  "transport: lost=%llu corrupted=%llu retransmits=%llu "
-                  "acks=%llu crc_detected=%llu dedup_drops=%llu",
-                  static_cast<ull>(transport.faults_lost),
-                  static_cast<ull>(transport.faults_corrupted),
-                  static_cast<ull>(transport.retransmits),
-                  static_cast<ull>(transport.acks_sent),
-                  static_cast<ull>(transport.payload_corruptions_detected),
-                  static_cast<ull>(transport.dedup_drops));
-    out << tbuf << '\n';
-  }
   return out.str();
 }
 
@@ -309,18 +296,7 @@ std::string QueryProfile::to_json() const {
         static_cast<ull>(sum.total_contexts));
     out += buf;
   }
-  out += "], \"transport\": {";
-  std::snprintf(buf, sizeof buf,
-                "\"lost\": %llu, \"corrupted\": %llu, \"retransmits\": %llu, "
-                "\"acks\": %llu, \"crc_detected\": %llu, \"dedup_drops\": %llu",
-                static_cast<ull>(transport.faults_lost),
-                static_cast<ull>(transport.faults_corrupted),
-                static_cast<ull>(transport.retransmits),
-                static_cast<ull>(transport.acks_sent),
-                static_cast<ull>(transport.payload_corruptions_detected),
-                static_cast<ull>(transport.dedup_drops));
-  out += buf;
-  out += "}}";
+  out += "]}";
   return out;
 }
 

@@ -103,30 +103,11 @@ struct ProfileMachineSummary {
   }
 };
 
-/// Query-global reliable-transport counters (DESIGN.md §13), copied from
-/// NetStats by the engine when profiling is on. Transport work is not
-/// stage-resolved: retransmission timers and acks run below the level
-/// where stages exist.
-struct ProfileTransportSummary {
-  std::uint64_t faults_lost = 0;
-  std::uint64_t faults_corrupted = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t acks_sent = 0;
-  std::uint64_t payload_corruptions_detected = 0;
-  std::uint64_t dedup_drops = 0;
-
-  bool any() const {
-    return (faults_lost | faults_corrupted | retransmits | acks_sent |
-            payload_corruptions_detected | dedup_drops) != 0;
-  }
-};
-
 /// The per-query profile tree returned alongside results.
 struct QueryProfile {
   bool enabled = false;
   std::vector<ProfileStageNode> stages;        // [stage][machine][depth]
   std::vector<ProfileMachineSummary> machines; // [machine]
-  ProfileTransportSummary transport;           // query-global (§13)
 
   /// Recomputes every node's `total` bottom-up; the engine calls this
   /// once after merging all worker slots.

@@ -4,8 +4,7 @@
 #include <exception>
 
 #include "common/error.h"
-#include "pgql/normalize.h"
-#include "rpq/cache_key.h"
+#include "runtime/admission.h"
 
 namespace rpqd {
 
@@ -17,17 +16,10 @@ namespace detail {
 /// guarded by `m`.
 struct QueryJob {
   std::uint64_t id = 0;
-  std::shared_ptr<const ExecPlan> plan;
-  bool profile = false;
-  /// Snapshot pinned at submit (DESIGN.md §12): the query executes on
-  /// this graph version no matter how many updates land while it queues,
-  /// and its epoch keys the result-cache probe.
-  std::shared_ptr<const GraphSnapshot> snapshot;
-  /// Leader only: the plan's label footprint, for update-driven
-  /// result-cache eviction of the entry this job may admit.
-  ResultCacheScope scope;
-  /// The probe raced an update (stale epoch): execute uncached.
-  bool cache_bypass = false;
+  /// Compile + snapshot pin + result-cache probe (runtime/admission.h).
+  /// The pinned snapshot is the graph version the query executes on no
+  /// matter how many updates land while it queues.
+  Admission admission;
   AdmissionOutcome outcome = AdmissionOutcome::kRejected;
   AdmissionReject reject = AdmissionReject::kNone;
   /// Created at submit so a cancel can never miss the run: before
@@ -37,12 +29,6 @@ struct QueryJob {
   std::shared_ptr<RunControl> run_control;
   Stopwatch queued_at;    // started at submit
   double queue_ms = 0.0;  // stamped at dispatch
-  // Result cache (DESIGN.md §11). A follower holds the leader's flight;
-  // a leader holds its own flight plus the cache key to complete it.
-  std::shared_ptr<ResultCache::Flight> flight;       // kCoalesced
-  std::shared_ptr<ResultCache::Flight> lead_flight;  // leader of a flight
-  std::string cache_text;
-  bool cache_profile = false;
 
   std::mutex m;
   std::condition_variable cv;
@@ -148,67 +134,36 @@ QueryScheduler::~QueryScheduler() {
 }
 
 QueryTicket QueryScheduler::submit(std::string_view pgql) {
-  bool profile = false;
-  std::shared_ptr<const ExecPlan> plan = engine_->compile(pgql, &profile);
-
   auto job = std::make_shared<QueryJob>();
-  job->plan = std::move(plan);
-  job->profile = profile;
-  // Pin the snapshot at submission (DESIGN.md §12), BEFORE the cache
-  // probe — the probe's epoch is the coherence handshake: the cache
-  // aborts loudly if the pin is newer than its last invalidation.
-  job->snapshot = engine_->current_snapshot();
-
-  if (result_cache_ != nullptr) {
-    // Result-cache lookup AFTER compile (parse errors throw like the
-    // uncached path, never touching the cache) and BEFORE admission (a
-    // hit or coalesce consumes neither a slot nor a queue position).
-    pgql::NormalizedQuery norm = pgql::normalize_query(pgql);
-    const bool key_profile =
-        profile || norm.profile || engine_->config_snapshot().profile;
-    ResultCache::Lookup look =
-        result_cache_->acquire(norm.text, key_profile, job->snapshot->epoch());
-    if (look.role == ResultCache::Role::kBypass) {
-      // An update published between the pin and the probe. Re-pin once
-      // and retry; if another update races the retry too, run this
-      // submission uncached rather than loop.
-      job->snapshot = engine_->current_snapshot();
-      look = result_cache_->acquire(norm.text, key_profile,
-                                    job->snapshot->epoch());
-    }
-    if (look.role == ResultCache::Role::kBypass) {
-      job->cache_bypass = true;
-    } else if (look.role == ResultCache::Role::kHit) {
-      {
-        std::lock_guard lock(mutex_);
-        job->id = next_id_++;
-        ++stats_.submitted;
+  // Parse errors throw here, like the blocking path. The cache probe
+  // runs BEFORE slot admission: a hit or coalesce consumes neither a
+  // slot nor a queue position.
+  job->admission = admit(*engine_, result_cache_, pgql);
+  const ResultCache::Role role = job->admission.role;
+  if (role == ResultCache::Role::kHit || role == ResultCache::Role::kFollower) {
+    {
+      std::lock_guard lock(mutex_);
+      job->id = next_id_++;
+      ++stats_.submitted;
+      if (role == ResultCache::Role::kHit) {
         ++stats_.cache_hits;
-      }
-      job->outcome = AdmissionOutcome::kCachedHit;
-      look.result.stats.result_cache_hit = true;
-      look.result.stats.queue_ms = 0.0;
-      fulfill(*job, std::move(look.result));
-      return QueryTicket(std::move(job));
-    } else if (look.role == ResultCache::Role::kFollower) {
-      {
-        std::lock_guard lock(mutex_);
-        job->id = next_id_++;
-        ++stats_.submitted;
+      } else {
         ++stats_.cache_coalesced;
       }
-      job->outcome = AdmissionOutcome::kCoalesced;
-      job->flight = std::move(look.flight);
-      return QueryTicket(std::move(job));
-    } else {
-      // Leader: this job must complete the flight whatever happens to it
-      // (dispatch, rejection, cancel, shutdown) — fulfill()/fail() do.
-      job->lead_flight = std::move(look.flight);
-      job->cache_text = std::move(norm.text);
-      job->cache_profile = key_profile;
-      job->scope = result_cache_scope(*job->plan);
     }
+    if (role == ResultCache::Role::kHit) {
+      job->outcome = AdmissionOutcome::kCachedHit;
+      QueryResult result = std::move(job->admission.hit);
+      result.stats.result_cache_hit = true;
+      result.stats.queue_ms = 0.0;
+      fulfill(*job, std::move(result));
+    } else {
+      job->outcome = AdmissionOutcome::kCoalesced;
+    }
+    return QueryTicket(std::move(job));
   }
+  // A leader must complete its flight whatever happens to the job
+  // (dispatch, rejection, cancel, shutdown) — fulfill()/fail() do.
   job->run_control = std::make_shared<RunControl>();
 
   AdmissionReject reject = AdmissionReject::kNone;
@@ -216,7 +171,7 @@ QueryTicket QueryScheduler::submit(std::string_view pgql) {
     std::lock_guard lock(mutex_);
     job->id = next_id_++;
     ++stats_.submitted;
-    if (job->cache_bypass) ++stats_.cache_bypassed;
+    if (role == ResultCache::Role::kBypass) ++stats_.cache_bypassed;
     if (stopping_) {
       reject = AdmissionReject::kShutdown;
     } else if (slots_ == 0) {
@@ -266,13 +221,13 @@ QueryTicket QueryScheduler::submit(std::string_view pgql) {
 QueryResult QueryScheduler::await(const QueryTicket& ticket) {
   engine_check(ticket.valid(), "await on an empty QueryTicket");
   QueryJob& job = *ticket.job_;
-  if (job.flight != nullptr) {
+  if (job.admission.role == ResultCache::Role::kFollower) {
     // Follower: block on the leader's flight (this thread holds no
     // dispatcher slot, so coalescing can never deadlock the pool), then
     // stamp the shared result as coalesced. Idempotent across repeated
     // and concurrent awaits of the same ticket.
     try {
-      QueryResult result = ResultCache::await(job.flight);
+      QueryResult result = ResultCache::await(job.admission.flight);
       result.stats.result_cache_coalesced = true;
       result.stats.queue_ms = 0.0;
       std::lock_guard lock(job.m);
@@ -351,7 +306,7 @@ SchedulerStats QueryScheduler::stats() const {
 
 EngineConfig QueryScheduler::job_config(const QueryJob& job) const {
   EngineConfig cfg = engine_->config_snapshot();
-  if (job.profile) cfg.profile = true;
+  if (job.admission.profile) cfg.profile = true;
   if (config_.partition_credits && slots_ > 1) {
     // Equal split across the in-flight slots, floored by the fairness
     // knob. Static shares keep the partitions disjoint even when some
@@ -376,15 +331,7 @@ EngineConfig QueryScheduler::job_config(const QueryJob& job) const {
 }
 
 void QueryScheduler::fulfill(QueryJob& job, QueryResult result) {
-  if (job.lead_flight != nullptr && result_cache_ != nullptr) {
-    // Leader hand-off: publish to every coalesced follower and admit
-    // into the cache when clean. A rejected/cancelled leader publishes
-    // its aborted result — followers share the leader's fate, the cache
-    // stores nothing.
-    result_cache_->complete(job.lead_flight, job.cache_text,
-                            job.cache_profile, result, job.scope);
-    job.lead_flight.reset();
-  }
+  job.admission.complete(result);
   {
     std::lock_guard lock(job.m);
     job.result = std::move(result);
@@ -394,11 +341,7 @@ void QueryScheduler::fulfill(QueryJob& job, QueryResult result) {
 }
 
 void QueryScheduler::fail(QueryJob& job, std::exception_ptr error) {
-  if (job.lead_flight != nullptr && result_cache_ != nullptr) {
-    result_cache_->complete_error(job.lead_flight, job.cache_text,
-                                  job.cache_profile, error);
-    job.lead_flight.reset();
-  }
+  job.admission.complete_error(error);
   {
     std::lock_guard lock(job.m);
     job.error = std::move(error);
@@ -423,14 +366,12 @@ void QueryScheduler::run_job(const std::shared_ptr<QueryJob>& job) {
     result.aborted = true;
     result.abort_reason = AbortReason::kDeadline;
     result.stats.queue_ms = job->queue_ms;
-    result.stats.snapshot_epoch =
-        job->snapshot != nullptr ? job->snapshot->epoch() : 0;
+    result.stats.snapshot_epoch = job->admission.snapshot->epoch();
   } else {
     try {
-      result = engine_->execute_plan(*job->plan, cfg, job->run_control.get(),
-                                     job->snapshot);
+      result = engine_->run(*job->admission.plan, cfg, *job->run_control,
+                            job->admission.snapshot);
       result.stats.queue_ms = job->queue_ms;
-      result.stats.result_cache_bypassed = job->cache_bypass;
     } catch (...) {
       // Engine invariant failures surface on the awaiting thread, exactly
       // like the blocking path's propagation to the caller.

@@ -64,6 +64,26 @@ TEST(Profile, PrefixEnablesForThatQueryOnly) {
   EXPECT_FALSE(db.query(kPlusQuery).profile.enabled);
 }
 
+TEST(Profile, PrefixWorksOnEveryEntry) {
+  Database db(synthetic::make_chain(12), 3, test_config());
+  const std::string text = std::string("PROFILE ") + kPlusQuery;
+  PreparedQuery prepared = db.prepare(text);
+  const QueryResult first = prepared.run();
+  EXPECT_TRUE(first.profile.enabled);
+  EXPECT_EQ(first.count, 66u);
+  EXPECT_TRUE(prepared.run().profile.enabled);  // every run, not once
+  EXPECT_FALSE(db.prepare(kPlusQuery).run().profile.enabled);
+  EXPECT_EQ(db.explain(text), db.explain(kPlusQuery));
+  EXPECT_NE(db.explain(text).find("rpq-control"), std::string::npos);
+
+  const QueryResult submitted = db.await(db.submit(text));
+  EXPECT_TRUE(submitted.profile.enabled);
+  EXPECT_EQ(submitted.count, 66u);
+  const QueryResult retried = db.run_with_retry(text);
+  EXPECT_TRUE(retried.profile.enabled);
+  EXPECT_EQ(retried.count, 66u);
+}
+
 TEST(Profile, ConfigFlagEnablesEveryQuery) {
   EngineConfig cfg = test_config();
   cfg.profile = true;

@@ -377,23 +377,18 @@ TEST(ReliableTransport, TransportCountersSurfaceInSummaryAndProfile) {
       db, "SELECT COUNT(*) FROM MATCH (v0) -/:edge*/-> (v1)");
   ASSERT_FALSE(result.aborted);
   ASSERT_GE(result.stats.faults_lost, 1u);
-  // QueryStats summary line.
-  EXPECT_NE(result.stats.summary().find("transport:"), std::string::npos);
-  // PR-3 profile: query-global transport block, text and JSON.
+  // Transport work is query-global, not stage-resolved: it is reported
+  // once, on the QueryStats summary line, beside a profiled run's tree.
   ASSERT_TRUE(result.profile.enabled);
-  EXPECT_TRUE(result.profile.transport.any());
-  EXPECT_EQ(result.profile.transport.faults_lost, result.stats.faults_lost);
-  EXPECT_EQ(result.profile.transport.retransmits, result.stats.retransmits);
-  EXPECT_NE(result.profile.text().find("transport:"), std::string::npos);
-  EXPECT_NE(result.profile.to_json().find("\"transport\""),
-            std::string::npos);
+  EXPECT_GE(result.stats.retransmits, 1u);
+  EXPECT_NE(result.stats.summary().find("transport:"), std::string::npos);
 
-  // Fault-free runs keep the block silent (and the JSON well-formed).
+  // Fault-free runs keep the line silent.
   db.set_fault_schedule("none", 0);
   const QueryResult clean = db.query(
       "SELECT COUNT(*) FROM MATCH (v0) -/:edge*/-> (v1)");
-  EXPECT_FALSE(clean.profile.transport.any());
-  EXPECT_EQ(clean.profile.text().find("transport:"), std::string::npos);
+  EXPECT_EQ(clean.stats.faults_lost, 0u);
+  EXPECT_EQ(clean.stats.summary().find("transport:"), std::string::npos);
 }
 
 // --------------------------------------------------------------- corpus --

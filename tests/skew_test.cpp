@@ -393,28 +393,6 @@ TEST(Repartitioner, HotSetRanksByDegreeAndRespectsFloor) {
   EXPECT_TRUE(rep.propose_hot_set(8, 1000).empty());
 }
 
-TEST(Repartitioner, ConsumesProfileJsonDumps) {
-  EngineConfig ec = small_config();
-  Database db(synthetic::make_tree(3, 4), 3, ec);
-  const QueryResult r = db.query(
-      "PROFILE SELECT COUNT(*) FROM MATCH (a:Root) <-/:replyOf+/- (b)");
-  ASSERT_TRUE(r.profile.enabled);
-
-  auto graph = std::make_shared<const Graph>(synthetic::make_tree(3, 4));
-  Repartitioner rep(graph, 3);
-  ASSERT_TRUE(rep.observe_profile_json(r.profile.to_json()));
-  EXPECT_EQ(rep.observations(), 1u);
-  // The in-memory and JSON paths must agree.
-  Repartitioner rep2(graph, 3);
-  rep2.observe_profile(r.profile);
-  const RepartitionPlan a = rep.propose();
-  const RepartitionPlan b = rep2.propose();
-  EXPECT_EQ(a.assignment, b.assignment);
-  // Garbage in, nothing observed.
-  Repartitioner rep3(graph, 3);
-  EXPECT_FALSE(rep3.observe_profile_json("{\"enabled\": false}"));
-}
-
 TEST(Repartitioner, ClosedLoopImprovesBalanceEndToEnd) {
   // The full §14 loop: run skewed, profile, propose, adopt, re-run —
   // the measured per-machine context spread must tighten.

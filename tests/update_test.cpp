@@ -23,6 +23,7 @@
 #include "pgql/parser.h"
 #include "plan/planner.h"
 #include "rpq/cache_key.h"
+#include "runtime/admission.h"
 #include "runtime/result_cache.h"
 
 #ifndef RPQD_UPDATE_CORPUS_DIR
@@ -393,6 +394,69 @@ TEST(ResultCacheEpochTest, MidFlightInvalidationDropsTheStaleLeader) {
   const auto hit = cache.acquire("q", false, 1);
   ASSERT_EQ(hit.role, ResultCache::Role::kHit);
   EXPECT_EQ(hit.result.count, 16u);
+}
+
+TEST(ResultCacheEpochTest, StalePinBypassesOnEveryAdmissionPath) {
+  // apply_update notifies the cache before it installs the snapshot.
+  // Freeze the engine between those two steps: the cache has heard of
+  // epoch 1 while the engine still serves epoch 0, so every probe pins a
+  // stale epoch — on the first probe and again on the re-pin.
+  auto pg = std::make_shared<const PartitionedGraph>(
+      std::make_shared<const Graph>(synthetic::make_chain(4)), 2);
+  DistributedEngine engine(pg, small_config());
+  GraphStore store(pg);
+  UpdateBatch batch;
+  batch.edge_inserts.push_back(
+      {3, 0, *pg->global().catalog().find_edge_label("next")});
+  const UpdateResult receipt = store.apply(batch);
+  ResultCache cache(1 << 20);
+  cache.on_graph_update(receipt.epoch, receipt.dirty);
+
+  // Database::query's side: admit, run inline, complete.
+  Admission blocking = admit(engine, &cache, kChainPlus);
+  EXPECT_EQ(blocking.role, ResultCache::Role::kBypass);
+  EXPECT_EQ(blocking.snapshot->epoch(), 0u);
+  EXPECT_EQ(cache.stats().bypassed_stale, 2u);
+  RunControl rc;
+  QueryResult inline_result = engine.run(
+      *blocking.plan, engine.config_snapshot(), rc, blocking.snapshot);
+  blocking.complete(inline_result);
+  EXPECT_TRUE(inline_result.stats.result_cache_bypassed);
+  EXPECT_EQ(inline_result.count, 6u);  // the pinned epoch-0 chain
+
+  // QueryScheduler::submit's side: the same handshake, booked once.
+  {
+    QueryScheduler sched(&engine, SchedulerConfig{}, &cache);
+    const QueryResult scheduled = sched.await(sched.submit(kChainPlus));
+    EXPECT_TRUE(scheduled.stats.result_cache_bypassed);
+    EXPECT_EQ(scheduled.count, 6u);
+    EXPECT_EQ(sched.stats().cache_bypassed, 1u);
+    EXPECT_EQ(sched.stats().admitted, 1u);
+  }
+  ResultCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.bypassed_stale, 4u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.inserts, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+
+  // Installing the announced snapshot closes the gap: the next ask leads
+  // and its clean result is admitted, so the one after it hits.
+  engine.install_snapshot(store.snapshot());
+  Admission lead = admit(engine, &cache, kChainPlus);
+  ASSERT_EQ(lead.role, ResultCache::Role::kLeader);
+  RunControl lead_rc;
+  QueryResult fresh = engine.run(*lead.plan, engine.config_snapshot(),
+                                 lead_rc, lead.snapshot);
+  lead.complete(fresh);
+  EXPECT_FALSE(fresh.stats.result_cache_bypassed);
+  EXPECT_EQ(fresh.count, 16u);  // the epoch-1 cycle
+  stats = cache.stats();
+  EXPECT_EQ(stats.bypassed_stale, 4u);
+  EXPECT_EQ(stats.inserts, 1u);
+  QueryScheduler sched(&engine, SchedulerConfig{}, &cache);
+  const QueryTicket hit = sched.submit(kChainPlus);
+  EXPECT_EQ(hit.admission(), AdmissionOutcome::kCachedHit);
+  EXPECT_EQ(sched.await(hit).count, 16u);
 }
 
 TEST(ResultCacheEpochTest, ScopeEvictionIsLabelGranular) {
