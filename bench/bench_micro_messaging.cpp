@@ -89,7 +89,7 @@ void BM_InboxPushPop(benchmark::State& state) {
     m.header.count = 1;
     m.payload.resize(64);
     net.send(0, std::move(m));
-    benchmark::DoNotOptimize(net.inbox(0).try_pop_data(net.stats()));
+    benchmark::DoNotOptimize(net.inbox(0).try_pop_data());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -107,7 +107,7 @@ void BM_InboxPriorityBurst(benchmark::State& state) {
       m.header.count = 1;
       net.send(0, std::move(m));
     }
-    while (auto msg = net.inbox(0).try_pop_data(net.stats())) {
+    while (auto msg = net.inbox(0).try_pop_data()) {
       benchmark::DoNotOptimize(msg->header.depth);
     }
   }

@@ -50,7 +50,7 @@ int main() {
     std::printf("%-10s %12.2f %14llu %14llu %8llu", profiling ? "on" : "off",
                 ms,
                 static_cast<unsigned long long>(
-                    profiling ? result.profile.total_contexts() : 0),
+                    profiling ? result.profile.totals().contexts : 0),
                 static_cast<unsigned long long>(allocs),
                 static_cast<unsigned long long>(result.count));
     if (profiling && off_ms > 0.0) {

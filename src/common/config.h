@@ -74,7 +74,7 @@ struct EngineConfig {
 
   /// Per-machine ceiling on simultaneously-live execution frames (the
   /// termination detector's pending-work unit). Exceeding it trips
-  /// AbortReason::kContextBudget. Peaks are surfaced in QueryStats /
+  /// AbortReason::kContextBudget. Peaks are surfaced in RuntimeStats /
   /// QueryProfile whether or not the budget is armed.
   std::uint64_t max_live_contexts = 0;
 

@@ -179,14 +179,15 @@ void FlowControl::release(MachineId dest, StageId stage, Depth depth,
   }
 }
 
-FlowControlStats FlowControl::stats() const {
-  FlowControlStats s;
-  s.fast_path = fast_grants_.load(std::memory_order_relaxed);
-  s.blocked = blocked_.load(std::memory_order_relaxed);
-  s.shared_used = shared_used_.load(std::memory_order_relaxed);
-  s.overflow_used = overflow_used_.load(std::memory_order_relaxed);
-  s.acquired = s.fast_path + s.overflow_used;
-  return s;
+MachineCounters FlowControl::counters() const {
+  MachineCounters c;
+  c.flow_fast_path = fast_grants_.load(std::memory_order_relaxed);
+  c.flow_blocked = blocked_.load(std::memory_order_relaxed);
+  c.flow_shared_used = shared_used_.load(std::memory_order_relaxed);
+  c.flow_overflow_used = overflow_used_.load(std::memory_order_relaxed);
+  c.flow_outstanding = outstanding();
+  c.flow_overflow_outstanding = overflow_outstanding();
+  return c;
 }
 
 std::uint64_t FlowControl::partition_credits() const {
@@ -223,12 +224,7 @@ std::uint64_t FlowControl::outstanding() const {
     for (const auto& c : pool.shared)
       out += pool.shared_init - c.load(std::memory_order_relaxed);
   }
-  {
-    std::lock_guard lock(mutex_);
-    for (const auto& pool : pools_)
-      for (const auto& set : pool.overflow_out)
-        out += static_cast<std::int64_t>(set.size());
-  }
+  out += static_cast<std::int64_t>(overflow_outstanding());
   return out > 0 ? static_cast<std::uint64_t>(out) : 0;
 }
 

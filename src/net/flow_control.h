@@ -23,7 +23,7 @@
 // are single compare-and-swap / fetch-add operations with no lock. The
 // mutex only covers the overflow slow path (a per-destination depth set,
 // touched when both pools are exhausted) and the blocked-sender
-// condition variable. Fast-path grants are counted in `fast_path`.
+// condition variable. Fast-path grants are counted in `flow_fast_path`.
 //
 // Per-query credit partitions (concurrent serving): when the engine
 // serves several queries at once, each query's FlowControl instance is
@@ -48,17 +48,10 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/counters.h"
 #include "net/message.h"
 
 namespace rpqd {
-
-struct FlowControlStats {
-  std::uint64_t acquired = 0;
-  std::uint64_t blocked = 0;        // try_acquire failures (§4.2 metric)
-  std::uint64_t shared_used = 0;
-  std::uint64_t overflow_used = 0;
-  std::uint64_t fast_path = 0;      // grants served without taking the lock
-};
 
 class FlowControl {
  public:
@@ -85,7 +78,9 @@ class FlowControl {
   /// re-polls its halt flag immediately instead of after the timeout.
   void poke();
 
-  FlowControlStats stats() const;
+  /// The flow_* half of this machine's MachineCounters. Exact once the
+  /// senders have stopped (post-run); a best-effort snapshot before.
+  MachineCounters counters() const;
 
   /// The credit-partition share this instance was built with (see the
   /// header comment; 1.0 outside concurrent serving).
@@ -135,8 +130,8 @@ class FlowControl {
   unsigned per_slot_credits_ = 2;
   double partition_share_ = 1.0;
   // Cumulative lock-free grants: the ONE global counter the fast path
-  // touches (releases touch only the slot counter). `acquired` is
-  // derived in stats(); `outstanding` is summed from the slot levels.
+  // touches (releases touch only the slot counter); `outstanding` is
+  // summed from the slot levels.
   std::atomic<std::uint64_t> fast_grants_{0};
   // Slow-path / fallback / failure counters (the dedicated-credit grant,
   // the common case, touches none of these).

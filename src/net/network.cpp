@@ -9,26 +9,7 @@
 
 namespace rpqd {
 
-void NetStats::note_queued(std::uint64_t delta_add) {
-  const auto now =
-      queued_bytes.fetch_add(delta_add, std::memory_order_relaxed) + delta_add;
-  auto peak = peak_queued_bytes.load(std::memory_order_relaxed);
-  while (now > peak && !peak_queued_bytes.compare_exchange_weak(
-                           peak, now, std::memory_order_relaxed)) {
-  }
-}
-
-void NetStats::note_dequeued(std::uint64_t delta_sub) {
-  const auto prev = queued_bytes.fetch_sub(delta_sub, std::memory_order_relaxed);
-  // Accounting audit: every dequeue must be covered by a prior enqueue.
-  // An underflow here means a message was popped twice or its payload
-  // mutated between queue and dequeue; the wrapped counter would
-  // otherwise poison peak_queued_bytes silently.
-  engine_check(prev >= delta_sub, "queued_bytes underflow on dequeue");
-}
-
-void Inbox::account_queued(std::uint64_t bytes, NetStats& stats) {
-  stats.note_queued(bytes);
+void Inbox::account_queued(std::uint64_t bytes) {
   const auto now =
       queued_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   auto peak = peak_queued_bytes_.load(std::memory_order_relaxed);
@@ -37,9 +18,20 @@ void Inbox::account_queued(std::uint64_t bytes, NetStats& stats) {
   }
 }
 
-void Inbox::account_dequeued(std::uint64_t bytes, NetStats& stats) {
-  stats.note_dequeued(bytes);
+void Inbox::count_data_arrival(const Message& msg) {
+  const auto bytes = static_cast<std::uint64_t>(msg.payload.size());
+  bump(counters_->data_messages);
+  bump(counters_->contexts_sent, msg.header.count);
+  bump(counters_->bytes_sent, bytes);
+  account_queued(bytes);
+}
+
+void Inbox::account_dequeued(std::uint64_t bytes) {
   const auto prev = queued_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+  // Accounting audit: every dequeue must be covered by a prior enqueue.
+  // An underflow means a message was popped twice or its payload mutated
+  // between queue and dequeue; the wrapped counter would otherwise
+  // poison peak_queued_bytes silently.
   engine_check(prev >= bytes, "inbox queued_bytes underflow on dequeue");
 }
 
@@ -79,8 +71,7 @@ void Inbox::arm_reliable(unsigned num_machines,
   reliable_undelivered_ = undelivered;
 }
 
-bool Inbox::reliable_accept(MachineId src, std::uint64_t link_seq,
-                            NetStats& stats) {
+bool Inbox::reliable_accept(MachineId src, std::uint64_t link_seq) {
   std::lock_guard lock(rx_mutex_);
   LinkRx& rx = rx_[src];
   const std::uint64_t now =
@@ -88,7 +79,7 @@ bool Inbox::reliable_accept(MachineId src, std::uint64_t link_seq,
           ? reliable_clock_->load(std::memory_order_relaxed)
           : 0;
   if (link_seq <= rx.cum || rx.ooo.count(link_seq) != 0) {
-    stats.dedup_drops.fetch_add(1, std::memory_order_relaxed);
+    bump(counters_->dedup_drops);
     // A duplicate usually means our previous ack was lost: owe a fresh
     // one so the sender stops retransmitting.
     if (!rx.ack_owed) {
@@ -129,6 +120,12 @@ void Inbox::fill_ack(MachineId src, std::uint64_t& ack_cum,
   rx.ack_owed = false;
 }
 
+bool Inbox::owes_ack(MachineId src) const {
+  if (!reliable_on_) return false;
+  std::lock_guard lock(rx_mutex_);
+  return rx_[src].ack_owed;
+}
+
 std::vector<MachineId> Inbox::take_due_acks(std::uint64_t now,
                                             std::uint64_t idle_ticks) {
   std::vector<MachineId> due;
@@ -167,12 +164,12 @@ void Inbox::deliver_done(const Message& msg) {
                  msg.header.credit);
 }
 
-bool Inbox::fault_dedup_or_delay(Message& msg, NetStats& stats) {
+bool Inbox::fault_dedup_or_delay(Message& msg) {
   // Transport dedup: a duplicated copy carries the same send sequence
   // number; dropping it here is the reliable transport masking the fault
   // (exactly-once delivery as seen by the engine).
   if (!seen_.insert(msg.header.seq).second) {
-    stats.faults_dup_dropped.fetch_add(1, std::memory_order_relaxed);
+    bump(counters_->faults_dup_dropped);
     return true;
   }
   const bool is_done = msg.header.type == MessageType::kDone;
@@ -188,15 +185,11 @@ bool Inbox::fault_dedup_or_delay(Message& msg, NetStats& stats) {
   // counted now (the message has arrived at this machine; it is merely
   // invisible to pickup), so queued-bytes accounting matches the
   // eventual dequeue.
-  stats.faults_delayed.fetch_add(1, std::memory_order_relaxed);
+  bump(counters_->faults_delayed);
   if (is_done) {
-    stats.done_messages.fetch_add(1, std::memory_order_relaxed);
+    bump(counters_->done_messages);
   } else {
-    stats.data_messages.fetch_add(1, std::memory_order_relaxed);
-    stats.contexts.fetch_add(msg.header.count, std::memory_order_relaxed);
-    const auto bytes = static_cast<std::uint64_t>(msg.payload.size());
-    stats.bytes.fetch_add(bytes, std::memory_order_relaxed);
-    account_queued(bytes, stats);
+    count_data_arrival(msg);
     ++limbo_data_;
   }
   const std::uint64_t ticks =
@@ -205,7 +198,7 @@ bool Inbox::fault_dedup_or_delay(Message& msg, NetStats& stats) {
   return true;
 }
 
-void Inbox::fault_tick(NetStats& stats) {
+void Inbox::fault_tick() {
   std::vector<Message> due_dones;
   std::uint64_t stall_us = 0;
   {
@@ -242,12 +235,12 @@ void Inbox::fault_tick(NetStats& stats) {
   }
   for (const auto& done : due_dones) deliver_done(done);
   if (stall_us > 0) {
-    stats.faults_stalls.fetch_add(1, std::memory_order_relaxed);
+    bump(counters_->faults_stalls);
     std::this_thread::sleep_for(std::chrono::microseconds(stall_us));
   }
 }
 
-void Inbox::drain_faults(NetStats& stats) {
+void Inbox::drain_faults() {
   if (!faults_on_) return;
   std::vector<Message> due_dones;
   {
@@ -261,10 +254,9 @@ void Inbox::drain_faults(NetStats& stats) {
     limbo_.clear();
   }
   for (const auto& done : due_dones) deliver_done(done);
-  (void)stats;
 }
 
-std::vector<Message> Inbox::drain_aborted(NetStats& stats) {
+std::vector<Message> Inbox::drain_aborted() {
   std::vector<Message> leftovers;
   std::vector<Message> due_dones;
   {
@@ -284,19 +276,17 @@ std::vector<Message> Inbox::drain_aborted(NetStats& stats) {
   // Limbo'd credit returns still count — an abort must leave outstanding
   // credits at zero exactly like healthy termination does.
   for (const auto& done : due_dones) deliver_done(done);
-  for (const auto& msg : leftovers) {
-    account_dequeued(msg.payload.size(), stats);
-  }
+  for (const auto& msg : leftovers) account_dequeued(msg.payload.size());
   return leftovers;
 }
 
-void Inbox::push(Message msg, NetStats& stats) {
+void Inbox::push(Message msg) {
   if (msg.header.type == MessageType::kAbort) {
     // Control-channel priority: handled at delivery time (like a DONE),
     // never delayed, deduped, or counted against queued bytes. The first
     // reason to arrive sticks; later broadcasts of a lost race are
     // ignored.
-    stats.abort_messages.fetch_add(1, std::memory_order_relaxed);
+    bump(counters_->abort_messages);
     std::uint8_t expected = 0;
     abort_reason_.compare_exchange_strong(expected, msg.header.abort_reason,
                                           std::memory_order_acq_rel,
@@ -310,7 +300,7 @@ void Inbox::push(Message msg, NetStats& stats) {
     // A message from a different query epoch: in-flight residue of an
     // aborted run. Its sender's credits were reclaimed by that run's
     // abort drain; delivering it would seed work in the wrong query.
-    stats.epoch_dropped.fetch_add(1, std::memory_order_relaxed);
+    bump(counters_->epoch_dropped);
     return;
   }
   if (reliable_on_ && msg.header.link_seq != 0) {
@@ -320,14 +310,15 @@ void Inbox::push(Message msg, NetStats& stats) {
     // applied before delivery — is modeled as surviving; the checksum
     // covers the payload.)
     if (crc32(msg.payload) != msg.header.crc) {
-      stats.payload_corruptions_detected.fetch_add(1,
-                                                   std::memory_order_relaxed);
+      bump(counters_->payload_corruptions_detected);
       return;
     }
     // Exactly-once: link-seq dedup runs BEFORE any message/byte/context
     // counting, so a retransmitted or duplicated copy can never
-    // double-count a NetStats counter or double-apply its effects.
-    if (!reliable_accept(msg.header.src, msg.header.link_seq, stats)) return;
+    // double-count a NetCounters counter or double-apply its effects.
+    if (!reliable_accept(msg.header.src, msg.header.link_seq)) {
+      return;
+    }
     // First delivery of a count-bearing / status message: it no longer
     // gates the §3.4 termination decision (Network::quiescent()).
     if (msg.header.type != MessageType::kDone &&
@@ -337,39 +328,31 @@ void Inbox::push(Message msg, NetStats& stats) {
   }
   if (faults_on_ && msg.header.type != MessageType::kTermination) {
     std::unique_lock lock(mutex_);
-    if (fault_dedup_or_delay(msg, stats)) return;
+    if (fault_dedup_or_delay(msg)) return;
     // Not consumed by a fault: deliver normally. Data can be heaped
     // while the lock is still held; DONEs release credits below.
     if (msg.header.type == MessageType::kData) {
-      stats.data_messages.fetch_add(1, std::memory_order_relaxed);
-      stats.contexts.fetch_add(msg.header.count, std::memory_order_relaxed);
-      const auto bytes = static_cast<std::uint64_t>(msg.payload.size());
-      stats.bytes.fetch_add(bytes, std::memory_order_relaxed);
-      account_queued(bytes, stats);
+      count_data_arrival(msg);
       heap_insert(std::move(msg));
       return;
     }
     lock.unlock();
-    stats.done_messages.fetch_add(1, std::memory_order_relaxed);
+    bump(counters_->done_messages);
     deliver_done(msg);
     return;
   }
   switch (msg.header.type) {
     case MessageType::kDone:
       // Receiver-thread behaviour: return the credit immediately.
-      stats.done_messages.fetch_add(1, std::memory_order_relaxed);
+      bump(counters_->done_messages);
       deliver_done(msg);
       return;
     case MessageType::kTermination:
-      stats.term_messages.fetch_add(1, std::memory_order_relaxed);
+      bump(counters_->term_messages);
       term_.push(std::move(msg));
       return;
     case MessageType::kData: {
-      stats.data_messages.fetch_add(1, std::memory_order_relaxed);
-      stats.contexts.fetch_add(msg.header.count, std::memory_order_relaxed);
-      const auto bytes = static_cast<std::uint64_t>(msg.payload.size());
-      stats.bytes.fetch_add(bytes, std::memory_order_relaxed);
-      account_queued(bytes, stats);
+      count_data_arrival(msg);
       std::lock_guard lock(mutex_);
       heap_insert(std::move(msg));
       return;
@@ -380,8 +363,8 @@ void Inbox::push(Message msg, NetStats& stats) {
   }
 }
 
-std::optional<Message> Inbox::try_pop_data(NetStats& stats) {
-  if (faults_on_) fault_tick(stats);
+std::optional<Message> Inbox::try_pop_data() {
+  if (faults_on_) fault_tick();
   const auto cmp = [this](const Entry& a, const Entry& b) {
     return before(a, b);
   };
@@ -391,7 +374,7 @@ std::optional<Message> Inbox::try_pop_data(NetStats& stats) {
   Message msg = std::move(heap_.back().msg);
   heap_.pop_back();
   lock.unlock();
-  account_dequeued(msg.payload.size(), stats);
+  account_dequeued(msg.payload.size());
   return msg;
 }
 
@@ -458,15 +441,32 @@ void Network::stamp_reliable(MachineId dest, Message& msg) {
     seq_undelivered_.fetch_add(1, std::memory_order_seq_cst);
   }
   LinkTx& link = tx(msg.header.src, dest);
-  const std::uint64_t now = pump_tick_.load(std::memory_order_relaxed);
   std::lock_guard lock(link.mutex);
   msg.header.link_seq = ++link.next_seq;
   Pending p;
   p.msg = msg;  // pristine copy; ack fields are refreshed per attempt
   p.attempts = 1;
-  p.next_retry =
-      now + backoff_ticks(msg.header.src, dest, msg.header.link_seq, 1);
   link.pending.emplace(msg.header.link_seq, std::move(p));
+}
+
+void Network::start_retry_timer(MachineId from, MachineId to,
+                                std::uint64_t link_seq) {
+  LinkTx& link = tx(from, to);
+  const std::uint64_t now = pump_tick_.load(std::memory_order_relaxed);
+  std::lock_guard lock(link.mutex);
+  const auto it = link.pending.find(link_seq);
+  if (it == link.pending.end() || it->second.next_retry != kTimerUnarmed) {
+    return;
+  }
+  it->second.next_retry = now + backoff_ticks(from, to, link_seq, 1);
+}
+
+void Network::send_ack(MachineId ower, MachineId peer) {
+  Message ack;
+  ack.header.type = MessageType::kAck;
+  ack.header.src = ower;
+  bump(counters_.acks_sent);
+  send(peer, std::move(ack));
 }
 
 std::uint64_t Network::backoff_ticks(MachineId from, MachineId to,
@@ -530,20 +530,19 @@ void Network::transmit(MachineId dest, Message msg) {
     if ((plan_.loss_classes & cls) != 0 &&
         fault_roll(fault_hash(plan_.seed, attempt, kFaultSaltLoss),
                    plan_.loss_rate)) {
-      stats_.faults_lost.fetch_add(1, std::memory_order_relaxed);
+      bump(counters_.faults_lost);
       return;
     }
     if ((plan_.corrupt_classes & cls) != 0 &&
         fault_roll(fault_hash(plan_.seed, attempt, kFaultSaltCorrupt),
                    plan_.corrupt_rate)) {
-      stats_.faults_corrupted.fetch_add(1, std::memory_order_relaxed);
+      bump(counters_.faults_corrupted);
       if (msg.header.type == MessageType::kAbort ||
           msg.header.type == MessageType::kAck) {
         // Headers-only control frame: corruption voids the whole frame;
         // the receiver's integrity check discards it, i.e. it is a loss
         // that also ticks the detection counter.
-        stats_.payload_corruptions_detected.fetch_add(
-            1, std::memory_order_relaxed);
+        bump(counters_.payload_corruptions_detected);
         return;
       }
       if (!msg.payload.empty()) {
@@ -572,7 +571,7 @@ void Network::transmit(MachineId dest, Message msg) {
     // the header is modeled as surviving (the CRC covers the payload).
     ack_apply(dest, msg.header.src, msg.header.ack_cum, msg.header.ack_bits);
   }
-  inboxes_[dest].push(std::move(msg), stats_);
+  inboxes_[dest].push(std::move(msg));
 }
 
 void Network::scan_link(MachineId from, MachineId to, std::uint64_t now) {
@@ -582,10 +581,22 @@ void Network::scan_link(MachineId from, MachineId to, std::uint64_t now) {
   // credit), and a crashed SENDER is dead by definition. The post-run
   // drain_reliable reconciles whatever is left in the ring.
   if (inboxes_[from].crashed() || inboxes_[to].crashed()) return;
+  LinkTx& link = tx(from, to);
+  const auto any_due = [&] {
+    std::lock_guard lock(link.mutex);
+    for (const auto& [seq, p] : link.pending) {
+      if (!p.dead && now >= p.next_retry) return true;
+    }
+    return false;
+  };
+  if (!any_due()) return;
+  // A delivered message whose ack is merely late (the receiver's owed
+  // ack has not reached its idle deadline yet) is not lost: send that
+  // ack first, then re-read the ring.
+  if (inboxes_[to].owes_ack(from)) send_ack(to, from);
   std::vector<Message> clones;
   bool dead = false;
   {
-    LinkTx& link = tx(from, to);
     std::lock_guard lock(link.mutex);
     for (auto& [seq, p] : link.pending) {
       if (p.dead || now < p.next_retry) continue;
@@ -600,7 +611,7 @@ void Network::scan_link(MachineId from, MachineId to, std::uint64_t now) {
     }
   }
   for (auto& clone : clones) {
-    stats_.retransmits.fetch_add(1, std::memory_order_relaxed);
+    bump(counters_.retransmits);
     transmit(to, std::move(clone));
   }
   if (dead) escalate_dead_link();
@@ -630,11 +641,7 @@ void Network::pump(MachineId self) {
   if (!inboxes_[ower].crashed()) {
     for (const MachineId peer :
          inboxes_[ower].take_due_acks(now, rcfg_.ack_idle_ticks)) {
-      Message ack;
-      ack.header.type = MessageType::kAck;
-      ack.header.src = ower;
-      stats_.acks_sent.fetch_add(1, std::memory_order_relaxed);
-      send(peer, std::move(ack));
+      send_ack(ower, peer);
     }
   }
   // Retransmission timers, striding one directed link per tick.
@@ -742,7 +749,7 @@ void Network::send(MachineId dest, Message msg) {
     // duplicate-send synthesized DONEs via the legacy dedup).
     switch (msg.header.type) {
       case MessageType::kData: {
-        stats_.blackholed_messages.fetch_add(1, std::memory_order_relaxed);
+        bump(counters_.blackholed_messages);
         Message done;
         done.header.type = MessageType::kDone;
         done.header.src = dest;
@@ -754,7 +761,7 @@ void Network::send(MachineId dest, Message msg) {
         // sender's transport dedup collapses them to one credit return.
         done.header.seq = msg.header.seq;
         done.header.epoch = msg.header.epoch;
-        inboxes_[msg.header.src].push(std::move(done), stats_);
+        inboxes_[msg.header.src].push(std::move(done));
         return;
       }
       case MessageType::kTermination:
@@ -767,9 +774,10 @@ void Network::send(MachineId dest, Message msg) {
         break;
     }
   }
-  if (reliable_on_ && sequenced(msg.header.type)) {
-    stamp_reliable(dest, msg);
-  }
+  const bool timed = reliable_on_ && sequenced(msg.header.type);
+  if (timed) stamp_reliable(dest, msg);
+  const MachineId src = msg.header.src;
+  const std::uint64_t link_seq = msg.header.link_seq;
   if (faults_on_) {
     double dup_prob = 0.0;
     switch (msg.header.type) {
@@ -781,7 +789,7 @@ void Network::send(MachineId dest, Message msg) {
     }
     if (fault_roll(fault_hash(plan_.seed, msg.header.seq, kFaultSaltDup),
                    dup_prob)) {
-      stats_.faults_duplicated.fetch_add(1, std::memory_order_relaxed);
+      bump(counters_.faults_duplicated);
       // The copy keeps the original's link_seq/crc, so under the
       // reliable layer the receiver's link dedup collapses the pair.
       Message copy;
@@ -791,6 +799,7 @@ void Network::send(MachineId dest, Message msg) {
     }
   }
   transmit(dest, std::move(msg));
+  if (timed) start_retry_timer(src, dest, link_seq);
 }
 
 }  // namespace rpqd

@@ -49,61 +49,13 @@
 #include <vector>
 
 #include "common/abort.h"
+#include "common/counters.h"
 #include "common/fault.h"
 #include "common/queue.h"
 #include "net/flow_control.h"
 #include "net/message.h"
 
 namespace rpqd {
-
-// Concurrency audit (concurrent multi-query serving): every counter in
-// NetStats is per-QUERY by construction — the engine builds one Network
-// (and therefore one NetStats, one Inbox set, one FlowControl set) per
-// run, and concurrent queries never share a Network. Nothing here may be
-// hoisted to an engine-global without revisiting that audit; the
-// regression tests in stats_isolation_test.cpp pin the property by
-// overlapping a heavy and a light query and asserting the light one's
-// counters match its solo run.
-struct NetStats {
-  std::atomic<std::uint64_t> data_messages{0};
-  std::atomic<std::uint64_t> done_messages{0};
-  std::atomic<std::uint64_t> term_messages{0};
-  std::atomic<std::uint64_t> bytes{0};
-  std::atomic<std::uint64_t> contexts{0};
-  // Cluster-wide buffered-byte accounting: `queued_bytes` sums every
-  // inbox, so `peak_queued_bytes` is the peak of the *sum* — the
-  // cluster's aggregate memory high-water mark. The per-machine peak
-  // (the paper's per-machine buffer-memory metric) lives on each Inbox;
-  // Network::max_peak_queued_bytes() takes the max across machines.
-  std::atomic<std::uint64_t> queued_bytes{0};  // currently buffered
-  std::atomic<std::uint64_t> peak_queued_bytes{0};
-  // Fault-injection accounting (all zero without an active FaultPlan).
-  std::atomic<std::uint64_t> faults_delayed{0};     // messages sent to limbo
-  std::atomic<std::uint64_t> faults_duplicated{0};  // extra copies injected
-  std::atomic<std::uint64_t> faults_dup_dropped{0};  // copies deduped away
-  std::atomic<std::uint64_t> faults_stalls{0};       // injected pickup stalls
-  // Query-lifecycle accounting (common/abort.h).
-  std::atomic<std::uint64_t> abort_messages{0};   // kAbort broadcasts delivered
-  std::atomic<std::uint64_t> blackholed_messages{0};  // data sent to a crashed
-                                                      // machine (synth-DONEd)
-  std::atomic<std::uint64_t> epoch_dropped{0};    // stale-epoch messages
-  // Reliable-delivery accounting (DESIGN.md §13; all zero unless the
-  // reliability layer is armed). Injection counters (faults_lost /
-  // faults_corrupted) count what the adversarial fabric did; the other
-  // four count what the transport did about it. Message/byte counters
-  // above stay exactly-once under retransmission: a duplicate delivery
-  // is dropped by the link-seq dedup *before* any counting.
-  std::atomic<std::uint64_t> faults_lost{0};       // transmission attempts
-                                                   // dropped in flight
-  std::atomic<std::uint64_t> faults_corrupted{0};  // attempts corrupted
-  std::atomic<std::uint64_t> retransmits{0};       // re-sent copies
-  std::atomic<std::uint64_t> acks_sent{0};         // standalone kAck sends
-  std::atomic<std::uint64_t> payload_corruptions_detected{0};  // CRC catches
-  std::atomic<std::uint64_t> dedup_drops{0};       // link-seq duplicate drops
-
-  void note_queued(std::uint64_t delta_add);
-  void note_dequeued(std::uint64_t delta_sub);
-};
 
 class Inbox {
  public:
@@ -126,12 +78,6 @@ class Inbox {
   /// check). In-flight data of an aborted run can never leak into a
   /// later query: its epoch no longer matches.
   void set_epoch(std::uint32_t epoch) { epoch_ = epoch; }
-
-  /// Sizes the per-source delivered counts (delivered_from()) for a
-  /// cluster of `num_machines`. The Network constructor calls this.
-  void set_num_sources(unsigned num_machines) {
-    delivered_from_ = std::vector<std::atomic<std::uint64_t>>(num_machines);
-  }
 
   /// Arms receiver-side reliable delivery (DESIGN.md §13): per-source
   /// link-seq dedup windows, CRC verification, and ack-owed tracking.
@@ -162,13 +108,13 @@ class Inbox {
     return crashed_.load(std::memory_order_acquire);
   }
 
-  void push(Message msg, NetStats& stats);
+  void push(Message msg);
 
   /// Pops the highest-priority data message: larger depth first, then
   /// later stage first (§3.2 messaging rules); FIFO in ablation mode.
   /// Under fault injection this is also the limbo clock: each call is
   /// one tick, releasing due delayed messages before popping.
-  std::optional<Message> try_pop_data(NetStats& stats);
+  std::optional<Message> try_pop_data();
 
   std::optional<Message> try_pop_term();
 
@@ -182,10 +128,8 @@ class Inbox {
   }
 
   /// This machine's buffered-byte high-water mark. Per-query by
-  /// construction (the engine builds a fresh Network per run); the
-  /// engine reports the max across machines, not the peak of the
-  /// cluster-wide sum (two machines peaking at different times must not
-  /// be added together).
+  /// construction (the engine builds a fresh Network per run); it is
+  /// MachineCounters::peak_queued_bytes, folded across machines by max.
   std::uint64_t peak_queued_bytes() const {
     return peak_queued_bytes_.load(std::memory_order_relaxed);
   }
@@ -197,14 +141,14 @@ class Inbox {
   /// release their credits; delayed data would be a termination-protocol
   /// violation and throws). The engine calls this after workers join so
   /// credit-leak checks see the fabric fully drained.
-  void drain_faults(NetStats& stats);
+  void drain_faults();
 
   /// Post-abort variant: delivers limbo DONEs (credits!) and returns
   /// every undelivered data message — heap and limbo alike — so the
   /// engine can release the senders' credits and count the discarded
   /// contexts. Unlike drain_faults, stranded data is expected here: an
   /// aborted or crashed machine stops consuming its inbox.
-  std::vector<Message> drain_aborted(NetStats& stats);
+  std::vector<Message> drain_aborted();
 
   // ---- reliable delivery, receiver side (DESIGN.md §13) ----
 
@@ -213,6 +157,10 @@ class Inbox {
   /// that link (the ack is about to ride out on some message).
   void fill_ack(MachineId src, std::uint64_t& ack_cum,
                 std::uint64_t& ack_bits);
+
+  /// Whether this inbox owes `src` an ack (received something from it
+  /// that no ack has carried back yet).
+  bool owes_ack(MachineId src) const;
 
   /// Links whose owed ack has aged past `idle_ticks` without reverse
   /// traffic to piggyback on; the caller emits standalone kAcks.
@@ -225,7 +173,9 @@ class Inbox {
   bool reliable_delivered(MachineId src, std::uint64_t link_seq) const;
 
  private:
-  friend class Network;  // drain_reliable delivers stranded DONE credits
+  // Network sizes delivered_from_, wires counters_, and delivers stranded
+  // DONE credits in drain_reliable.
+  friend class Network;
   struct Entry {
     Message msg;
     std::uint64_t seq = 0;  // FIFO tiebreak / FIFO-mode key
@@ -263,19 +213,21 @@ class Inbox {
   /// Dedup + receipt recording for a sequenced message; counts
   /// dedup_drops and re-marks the owed ack on a duplicate (a duplicate
   /// usually means the previous ack was lost). Returns false to drop.
-  bool reliable_accept(MachineId src, std::uint64_t link_seq,
-                       NetStats& stats);
+  bool reliable_accept(MachineId src, std::uint64_t link_seq);
 
   // Fault internals (mutex_ held unless stated otherwise).
-  bool fault_dedup_or_delay(Message& msg, NetStats& stats);  // true=consumed
-  void fault_tick(NetStats& stats);  // advance clock, release due limbo
+  bool fault_dedup_or_delay(Message& msg);  // true=consumed
+  void fault_tick();  // advance clock, release due limbo
   void heap_insert(Message msg);
   void deliver_done(const Message& msg);  // lock-free (flow control only)
-  // Buffered-byte accounting: updates this inbox's local counters and
-  // the cluster-wide NetStats sum together.
-  void account_queued(std::uint64_t bytes, NetStats& stats);
-  void account_dequeued(std::uint64_t bytes, NetStats& stats);
+  // Counts an accepted data message (fabric totals plus this inbox's
+  // buffered bytes) at the moment it reaches this machine.
+  void count_data_arrival(const Message& msg);
+  // Buffered-byte accounting of this inbox.
+  void account_queued(std::uint64_t bytes);
+  void account_dequeued(std::uint64_t bytes);
 
+  NetCounters* counters_ = nullptr;  // the owning Network's
   std::atomic<std::uint64_t> queued_bytes_{0};
   std::atomic<std::uint64_t> peak_queued_bytes_{0};
   mutable std::mutex mutex_;
@@ -327,7 +279,11 @@ class Network {
   explicit Network(unsigned num_machines)
       : inboxes_(num_machines),
         data_sent_(std::size_t{num_machines} * num_machines) {
-    for (auto& inbox : inboxes_) inbox.set_num_sources(num_machines);
+    for (auto& inbox : inboxes_) {
+      inbox.delivered_from_ =
+          std::vector<std::atomic<std::uint64_t>>(num_machines);
+      inbox.counters_ = &counters_;
+    }
   }
 
   unsigned num_machines() const {
@@ -426,19 +382,9 @@ class Network {
     return data_sent_[std::size_t{from} * inboxes_.size() + to].n.load(
         std::memory_order_seq_cst);
   }
-  NetStats& stats() { return stats_; }
-  const NetStats& stats() const { return stats_; }
-
-  /// Max over machines of each machine's buffered-byte peak — the
-  /// per-machine memory high-water mark the paper's §4.2 discussion is
-  /// about (NOT the peak of the cluster-wide sum).
-  std::uint64_t max_peak_queued_bytes() const {
-    std::uint64_t peak = 0;
-    for (const auto& inbox : inboxes_) {
-      peak = std::max(peak, inbox.peak_queued_bytes());
-    }
-    return peak;
-  }
+  /// This run's fabric counters. Workers bump them concurrently; read
+  /// them only once the workers have joined.
+  const NetCounters& counters() const { return counters_; }
 
  private:
   // Sender-side unacked ring, one per directed (from, to) link. Each
@@ -448,9 +394,13 @@ class Network {
   struct Pending {
     Message msg;                    // pristine copy for retransmission
     unsigned attempts = 0;          // transmissions so far
-    std::uint64_t next_retry = 0;   // pump tick of the next retransmit
+    // Pump tick of the next retransmit. The timer starts when the first
+    // transmission returns (start_retry_timer), not at stamping: a
+    // sender descheduled in between must not time out its own message.
+    std::uint64_t next_retry = kTimerUnarmed;
     bool dead = false;              // budget exhausted; stop retrying
   };
+  static constexpr std::uint64_t kTimerUnarmed = ~std::uint64_t{0};
   struct LinkTx {
     std::mutex mutex;
     std::uint64_t next_seq = 0;
@@ -468,6 +418,13 @@ class Network {
   /// Assigns the link_seq, computes the CRC, and stores the pristine
   /// copy in the unacked ring.
   void stamp_reliable(MachineId dest, Message& msg);
+  /// Arms the retransmit timer of (from, to, link_seq) once its first
+  /// transmission has returned; a no-op when an ack already erased it.
+  void start_retry_timer(MachineId from, MachineId to,
+                         std::uint64_t link_seq);
+  /// Emits a standalone kAck from `ower` to `peer` on the receiver's
+  /// behalf (through the fabric, so a lossy link can drop it).
+  void send_ack(MachineId ower, MachineId peer);
   /// One transmission attempt: refresh piggybacked acks, roll loss /
   /// corruption for this attempt, apply the (surviving) acks to the
   /// reverse link's ring, then deliver. kAck terminates here.
@@ -493,7 +450,7 @@ class Network {
     std::atomic<std::uint64_t> n{0};
   };
   std::vector<LinkCount> data_sent_;
-  NetStats stats_;
+  NetCounters counters_;
   FaultPlan plan_;
   bool faults_on_ = false;
   std::uint32_t epoch_ = 0;

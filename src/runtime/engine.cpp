@@ -197,45 +197,40 @@ QueryResult DistributedEngine::run(const ExecPlan& plan, EngineConfig cfg,
   }
 
   const bool was_aborted = abort.armed();
-  std::uint64_t net_discarded = 0;
-  if (was_aborted) {
-    // Reclaim what the halted workers left in the fabric: limbo DONEs
-    // deliver (credits), and every stranded data message's credit is
-    // returned straight to its sender's flow control. After this the
-    // cluster-wide credit audit must read zero outstanding.
-    for (unsigned m = 0; m < num_machines; ++m) {
-      const auto leftovers = net.inbox(m).drain_aborted(net.stats());
-      for (const auto& msg : leftovers) {
-        machines[msg.header.src]->flow().release(static_cast<MachineId>(m),
-                                                 msg.header.stage,
-                                                 msg.header.credit_depth,
-                                                 msg.header.credit);
-        net_discarded += msg.header.count;
+  // Stranded data: its credit goes straight back to the sender's flow
+  // control, and its contexts count as discarded by the machine it was
+  // addressed to.
+  std::vector<std::uint64_t> drained(num_machines, 0);
+  const auto reclaim = [&](MachineId dest, const Message& msg) {
+    machines[msg.header.src]->flow().release(dest, msg.header.stage,
+                                             msg.header.credit_depth,
+                                             msg.header.credit);
+    drained[dest] += msg.header.count;
+  };
+  for (unsigned m = 0; m < num_machines; ++m) {
+    if (was_aborted) {
+      // Reclaim what the halted workers left in the fabric: limbo DONEs
+      // deliver (credits) and stranded data is reclaimed. After this the
+      // cluster-wide credit audit must read zero outstanding.
+      for (const auto& msg : net.inbox(m).drain_aborted()) {
+        reclaim(static_cast<MachineId>(m), msg);
       }
-    }
-  } else {
-    // Force-deliver any DONE messages still held back by fault injection,
-    // so the credit-leak audit below sees the fabric fully drained.
-    for (unsigned m = 0; m < num_machines; ++m) {
-      net.inbox(m).drain_faults(net.stats());
+    } else {
+      // Force-deliver DONEs still held back by fault injection, so the
+      // credit-leak audit below sees the fabric fully drained.
+      net.inbox(m).drain_faults();
     }
   }
   // Reliable-transport drain (both paths): resolve the unacked rings.
   // Undelivered DONEs release their credits inside drain_reliable (legal
   // even on clean runs — termination proves sent == processed, not
   // credits-home); undelivered data is only possible when the run
-  // aborted, and its senders' credits are released here exactly like
-  // drain_aborted leftovers.
+  // aborted, and is reclaimed exactly like drain_aborted leftovers.
   {
-    auto undelivered = net.drain_reliable();
+    const auto undelivered = net.drain_reliable();
     engine_check(was_aborted || undelivered.empty(),
                  "data message lost in flight survived clean termination");
-    for (auto& [dest, msg] : undelivered) {
-      machines[msg.header.src]->flow().release(dest, msg.header.stage,
-                                               msg.header.credit_depth,
-                                               msg.header.credit);
-      net_discarded += msg.header.count;
-    }
+    for (const auto& [dest, msg] : undelivered) reclaim(dest, msg);
   }
 
   QueryResult result;
@@ -288,60 +283,26 @@ QueryResult DistributedEngine::run(const ExecPlan& plan, EngineConfig cfg,
   stats.snapshot_epoch = snap->epoch();
   stats.credit_partition_share = cfg.credit_partition_share;
   stats.output_rows = result.count;
-  stats.data_messages = net.stats().data_messages.load();
-  stats.done_messages = net.stats().done_messages.load();
-  stats.term_messages = net.stats().term_messages.load();
-  stats.bytes_sent = net.stats().bytes.load();
-  stats.contexts_sent = net.stats().contexts.load();
-  // Per-machine high-water mark: max over the machines' own peaks, not
-  // the peak of the cluster-wide sum (NetStats.peak_queued_bytes) —
-  // machines peaking at different times must not be added together.
-  stats.peak_queued_bytes = net.max_peak_queued_bytes();
-  stats.faults_delayed = net.stats().faults_delayed.load();
-  stats.faults_duplicated = net.stats().faults_duplicated.load();
-  stats.faults_dup_dropped = net.stats().faults_dup_dropped.load();
-  stats.faults_stalls = net.stats().faults_stalls.load();
-  stats.abort_messages = net.stats().abort_messages.load();
-  stats.blackholed_messages = net.stats().blackholed_messages.load();
-  stats.epoch_dropped = net.stats().epoch_dropped.load();
-  stats.faults_lost = net.stats().faults_lost.load();
-  stats.faults_corrupted = net.stats().faults_corrupted.load();
-  stats.retransmits = net.stats().retransmits.load();
-  stats.acks_sent = net.stats().acks_sent.load();
-  stats.payload_corruptions_detected =
-      net.stats().payload_corruptions_detected.load();
-  stats.dedup_drops = net.stats().dedup_drops.load();
-  stats.contexts_discarded = net_discarded;
-  for (auto& machine : machines) {
-    stats.contexts_discarded += machine->discarded_contexts();
-    stats.peak_live_contexts =
-        std::max(stats.peak_live_contexts, machine->peak_live_contexts());
-  }
-  for (auto& machine : machines) {
-    const FlowControlStats fc = machine->flow().stats();
-    stats.flow_fast_path += fc.fast_path;
-    stats.flow_blocked += fc.blocked;
-    stats.flow_shared_used += fc.shared_used;
-    stats.flow_overflow_used += fc.overflow_used;
-    stats.flow_outstanding += machine->flow().outstanding();
-    stats.flow_overflow_outstanding += machine->flow().overflow_outstanding();
-  }
-  // Skew-aware balancing (DESIGN.md §14): delegation counters and the
-  // per-machine load distribution with its imbalance ratio (max/mean of
-  // frames entered per machine).
+  // The counter groups (common/counters.h): the fabric's totals, and
+  // each machine's counters folded into the stats and, when profiling,
+  // kept per machine in the profile — the same values, so the two agree.
+  static_cast<NetCounters&>(stats) = net.counters();
   stats.machine_contexts.resize(num_machines, 0);
-  std::uint64_t total_visits = 0;
+  result.profile.enabled = profile;
+  if (profile) result.profile.machines.resize(num_machines);
   for (unsigned m = 0; m < num_machines; ++m) {
-    stats.mirror_fanouts += machines[m]->mirror_fanout_count();
-    stats.mirror_expands += machines[m]->mirror_expand_count();
-    stats.machine_contexts[m] = machines[m]->total_stage_visits();
-    total_visits += stats.machine_contexts[m];
+    MachineCounters mc = machines[m]->counters();
+    mc.contexts_discarded += drained[m];
+    stats += mc;
+    stats.machine_contexts[m] = mc.contexts;
+    if (profile) static_cast<MachineCounters&>(result.profile.machines[m]) = mc;
   }
-  if (total_visits > 0) {
+  // §14 load imbalance: max/mean of frames entered per machine.
+  if (stats.contexts > 0) {
     const std::uint64_t max_visits = *std::max_element(
         stats.machine_contexts.begin(), stats.machine_contexts.end());
     stats.load_imbalance = static_cast<double>(max_visits) * num_machines /
-                           static_cast<double>(total_visits);
+                           static_cast<double>(stats.contexts);
   }
   stats.rpq.resize(plan.num_rpq_indexes);
   for (unsigned g = 0; g < plan.num_rpq_indexes; ++g) {
@@ -378,7 +339,6 @@ QueryResult DistributedEngine::run(const ExecPlan& plan, EngineConfig cfg,
   }
   // Profile tree: merge every machine's worker slots post-join, then
   // compute the per-node totals bottom-up.
-  result.profile.enabled = profile;
   if (profile) {
     QueryProfile& prof = result.profile;
     prof.stages.resize(plan.stages.size());
@@ -386,7 +346,6 @@ QueryResult DistributedEngine::run(const ExecPlan& plan, EngineConfig cfg,
       prof.stages[s].note = plan.stages[s].note;
       prof.stages[s].machines.resize(num_machines);
     }
-    prof.machines.resize(num_machines);
     for (auto& machine : machines) machine->merge_profile(prof);
     prof.finish();
   }

@@ -149,7 +149,7 @@ void MachineRuntime::run_context(Worker& w, StageId stage, VertexId vertex,
       // The halt poll of the traversal loop itself: unwind the partial
       // walk (keeping save-stack and detector balanced) and drop it.
       unwind(rs);
-      ++w.discarded;
+      ++w.counters.contexts_discarded;
       break;
     }
     step(w, rs);
@@ -160,7 +160,7 @@ void MachineRuntime::run_mirror_expand(Worker& w, StageId stage,
                                        VertexId hot_vertex, Depth depth,
                                        std::uint64_t rpid,
                                        std::vector<Value> slots) {
-  ++w.mirror_expands;
+  ++w.counters.mirror_expands;
   const StagePlan& sp = plan_->stages[stage];
   const MirrorSet* mirrors = part_->mirrors();
   engine_check(mirrors != nullptr, "mirror-expand delegation without mirrors");
@@ -204,7 +204,7 @@ void MachineRuntime::run_mirror_expand(Worker& w, StageId stage,
           while (!rs.stack.empty()) {
             if (halted()) {
               unwind(rs);
-              ++w.discarded;
+              ++w.counters.contexts_discarded;
               return false;
             }
             step(w, rs);
@@ -660,7 +660,7 @@ bool MachineRuntime::mirror_delegate(Worker& w, Frame& f, const StagePlan& sp,
     send_to(w, static_cast<MachineId>(m), f.stage, gid, f.depth, f.rpid,
             slots, /*mirror=*/true);
   }
-  ++w.mirror_fanouts;
+  ++w.counters.mirror_fanouts;
   return true;
 }
 
@@ -675,7 +675,7 @@ void MachineRuntime::send_to(Worker& w, MachineId dest, StageId stage,
     if (!credit) {
       // Halted while blocked: drop the context (never counted as sent,
       // so no DONE is owed) and let the caller's halt poll unwind.
-      ++w.discarded;
+      ++w.counters.contexts_discarded;
       return;
     }
     // The blocking acquire processes incoming messages (pickup rule iii),
@@ -768,7 +768,7 @@ std::optional<CreditClass> MachineRuntime::acquire_credit_blocking(
     // Pickup rule (iii): when flow control prevents sending, process
     // incoming messages (bounded nesting).
     if (w.nesting < config_->max_pickup_nesting) {
-      if (auto msg = net_->inbox(id_).try_pop_data(net_->stats())) {
+      if (auto msg = net_->inbox(id_).try_pop_data()) {
         starved.reset();
         backoff = 0;
         process_message(w, std::move(*msg));
@@ -855,7 +855,7 @@ void MachineRuntime::process_message(Worker& w, Message msg) {
       // the frames pushed above).
       for (std::size_t j = i; j < contexts.size(); ++j) {
         note_frame_popped(stage, group, msg.header.depth);
-        ++w.discarded;
+        ++w.counters.contexts_discarded;
       }
       break;
     }
@@ -920,7 +920,7 @@ void MachineRuntime::worker_main(unsigned worker_index) {
     // on abort or crash this worker stops consuming work immediately.
     if (halted()) break;
     // (i) Eagerly pick up received messages first.
-    if (auto msg = inbox.try_pop_data(net_->stats())) {
+    if (auto msg = inbox.try_pop_data()) {
       w.busy.store(true, std::memory_order_seq_cst);
       process_message(w, std::move(*msg));
       idle_iterations = 0;
@@ -1045,7 +1045,7 @@ void MachineRuntime::abort_drain(Worker& w) {
   for (auto& [key, buf] : w.out) {
     (void)key;
     flow_->release(buf.dest, buf.stage, buf.depth, buf.credit);
-    w.discarded += buf.count;
+    w.counters.contexts_discarded += buf.count;
   }
   w.out.clear();
   // Drain still-queued inbound batches, replying DONE for each so the
@@ -1053,7 +1053,7 @@ void MachineRuntime::abort_drain(Worker& w) {
   // A crashed machine does nothing here — the fabric blackholes traffic
   // to it and synthesizes the completions on its behalf.
   if (!net_->inbox(id_).crashed()) {
-    while (auto msg = net_->inbox(id_).try_pop_data(net_->stats())) {
+    while (auto msg = net_->inbox(id_).try_pop_data()) {
       Message done;
       done.header.type = MessageType::kDone;
       done.header.src = id_;
@@ -1061,16 +1061,10 @@ void MachineRuntime::abort_drain(Worker& w) {
       done.header.credit = msg->header.credit;
       done.header.credit_depth = msg->header.credit_depth;
       net_->send(msg->header.src, std::move(done));
-      w.discarded += msg->header.count;
+      w.counters.contexts_discarded += msg->header.count;
     }
   }
   w.busy.store(false, std::memory_order_seq_cst);
-}
-
-std::uint64_t MachineRuntime::discarded_contexts() const {
-  std::uint64_t total = 0;
-  for (const auto& w : workers_) total += w->discarded;
-  return total;
 }
 
 // ------------------------------------------------------------------ stats --
@@ -1101,18 +1095,18 @@ void MachineRuntime::merge_profile(QueryProfile& out) const {
   for (const auto& w : workers_) {
     if (w->prof) w->prof->merge_into(id_, out);
   }
-  ProfileMachineSummary& sum = out.machines[id_];
-  const FlowControlStats fs = flow_->stats();
-  sum.credit_fast_path += fs.fast_path;
-  sum.credit_shared += fs.shared_used;
-  sum.credit_overflow += fs.overflow_used;
-  sum.credit_blocked += fs.blocked;
-  sum.term_rounds += detector_.broadcast_rounds();
-  sum.peak_live_contexts = peak_live_contexts();
-  sum.discarded_contexts += discarded_contexts();
-  sum.mirror_fanouts += mirror_fanout_count();
-  sum.mirror_expands += mirror_expand_count();
-  sum.total_contexts += total_stage_visits();
+}
+
+MachineCounters MachineRuntime::counters() const {
+  MachineCounters c = flow_->counters();
+  for (const auto& w : workers_) {
+    c += w->counters;
+    for (const std::uint64_t v : w->stage_visits) c.contexts += v;
+  }
+  c.term_rounds = detector_.broadcast_rounds();
+  c.peak_live_contexts = peak_live_frames_.load(std::memory_order_relaxed);
+  c.peak_queued_bytes = net_->inbox(id_).peak_queued_bytes();
+  return c;
 }
 
 RpqStageStats MachineRuntime::rpq_stats(unsigned group) const {

@@ -64,23 +64,16 @@ class MachineRuntime {
   const ReachabilityIndex& index(unsigned group) const {
     return *indexes_[group];
   }
-  /// Merges this machine's worker profile slots, credit accounting, and
-  /// termination rounds into the query tree. No-op unless the config had
-  /// profiling on. Called once by the engine, after workers join.
+  /// Merges this machine's worker profile slots (the stage tree and the
+  /// credit-stall times) into the query tree. No-op unless the config
+  /// had profiling on. Called once by the engine, after workers join.
   void merge_profile(QueryProfile& out) const;
 
-  /// Contexts this machine discarded on the abort path (unsent buffer
-  /// contents, unprocessed inbox batches).
-  std::uint64_t discarded_contexts() const;
-  /// High-water mark of simultaneously-live execution frames — the
-  /// max_live_contexts budget's tracked quantity (tracked always).
-  std::uint64_t peak_live_contexts() const {
-    return peak_live_frames_.load(std::memory_order_relaxed);
-  }
-  /// Live frames right now; 0 after any clean drain (leak detector).
-  std::uint64_t live_contexts() const {
-    return live_frames_.load(std::memory_order_relaxed);
-  }
+  /// This machine's counters, built in one pass over its workers, flow
+  /// control, detector and inbox. Called once by the engine, after
+  /// workers join. Fabric leftovers the engine drains on the abort path
+  /// are not included; the engine charges them to their destination.
+  MachineCounters counters() const;
 
  private:
   struct Frame {
@@ -140,10 +133,8 @@ class MachineRuntime {
     std::vector<std::vector<std::uint64_t>> eliminated;  // [group][depth]
     std::vector<std::vector<std::uint64_t>> duplicated;  // [group][depth]
     std::uint64_t rows = 0;
-    std::uint64_t discarded = 0;  // contexts dropped by the abort drain
-    // Hot-vertex delegated fan-out (DESIGN.md §14).
-    std::uint64_t mirror_fanouts = 0;  // hot frames delegated (send side)
-    std::uint64_t mirror_expands = 0;  // delegations expanded (recv side)
+    // This worker's contexts_discarded / mirror_fanouts / mirror_expands.
+    MachineCounters counters;
     std::vector<std::vector<std::string>> result_rows;
     std::vector<std::uint64_t> stage_visits;  // frames entered per stage
     AggMap agg_rows;  // partial GROUP BY aggregates
@@ -267,29 +258,6 @@ class MachineRuntime {
   std::vector<int> stage_group_;  // stage -> rpq index_id, or -1
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> done_{false};
-
- public:
-  /// Hot-vertex frames whose remote fan-out was delegated to peers'
-  /// mirrors, and delegations this machine expanded (DESIGN.md §14).
-  std::uint64_t mirror_fanout_count() const {
-    std::uint64_t total = 0;
-    for (const auto& w : workers_) total += w->mirror_fanouts;
-    return total;
-  }
-  std::uint64_t mirror_expand_count() const {
-    std::uint64_t total = 0;
-    for (const auto& w : workers_) total += w->mirror_expands;
-    return total;
-  }
-  /// Frames entered across ALL stages on this machine — the per-machine
-  /// load quantity the §14 imbalance ratio is computed over.
-  std::uint64_t total_stage_visits() const {
-    std::uint64_t total = 0;
-    for (const auto& w : workers_) {
-      for (const std::uint64_t v : w->stage_visits) total += v;
-    }
-    return total;
-  }
 };
 
 }  // namespace rpqd

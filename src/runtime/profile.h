@@ -21,8 +21,9 @@
 //
 // Exposure: `EngineConfig.profile = true`, a `PROFILE `-prefixed PGQL
 // query (per-query opt-in), QueryProfile::text() for a human-readable
-// EXPLAIN PROFILE report, and QueryProfile::to_json() for tooling
-// (bench/run_bench_suite emits it into BENCH_RPQD.json).
+// EXPLAIN PROFILE report, and QueryProfile::to_json() for tooling.
+// (bench/run_bench_suite writes its own per-stage breakdown into
+// BENCH_RPQD.json, not this export.)
 #pragma once
 
 #include <array>
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/types.h"
 #include "net/message.h"
 
@@ -39,7 +41,8 @@ namespace rpqd {
 /// the class that eventually resolved the stall.
 inline constexpr unsigned kNumCreditClasses = 4;
 
-/// Leaf of the profile tree: one (stage, machine, depth) cell.
+/// Leaf of the profile tree: one (stage, machine, depth) cell. Its
+/// table below drives the fold (+=) and both renderings.
 struct ProfileDepthRow {
   std::uint64_t contexts = 0;       // frames entered at this depth
   std::uint64_t ctx_sent = 0;       // contexts serialized to remote machines
@@ -57,8 +60,28 @@ struct ProfileDepthRow {
     return (contexts | ctx_sent | ctx_received | msgs_sent | msgs_received |
             bytes_sent | index_probes) != 0;
   }
-  void add(const ProfileDepthRow& other);
 };
+
+inline constexpr CounterField<ProfileDepthRow> kProfileRowFields[] = {
+    RPQD_COUNTER(ProfileDepthRow, "tree", contexts, kSum),
+    RPQD_COUNTER(ProfileDepthRow, "tree", ctx_sent, kSum),
+    RPQD_COUNTER(ProfileDepthRow, "tree", ctx_received, kSum),
+    RPQD_COUNTER(ProfileDepthRow, "tree", msgs_sent, kSum),
+    RPQD_COUNTER(ProfileDepthRow, "tree", msgs_received, kSum),
+    RPQD_COUNTER(ProfileDepthRow, "tree", bytes_sent, kSum),
+    RPQD_COUNTER(ProfileDepthRow, "tree", index_probes, kSum),
+    RPQD_COUNTER(ProfileDepthRow, "tree", index_new, kSum),
+    RPQD_COUNTER(ProfileDepthRow, "tree", index_eliminated, kSum),
+    RPQD_COUNTER(ProfileDepthRow, "tree", index_duplicated, kSum),
+};
+inline constexpr std::span<const CounterField<ProfileDepthRow>>
+counter_fields(const ProfileDepthRow&) {
+  return kProfileRowFields;
+}
+inline ProfileDepthRow& operator+=(ProfileDepthRow& into,
+                                   const ProfileDepthRow& from) {
+  return fold_counters(into, from);
+}
 
 /// Per-(stage, machine) node: depth-indexed leaf rows plus their sum.
 struct ProfileMachineNode {
@@ -73,28 +96,14 @@ struct ProfileStageNode {
   ProfileDepthRow total;                     // filled by finish()
 };
 
-/// Per-machine summary that is not stage-resolved: credit accounting and
-/// termination-protocol rounds.
-struct ProfileMachineSummary {
-  std::uint64_t credit_fast_path = 0;  // lock-free grants (dedicated+shared)
-  std::uint64_t credit_shared = 0;
-  std::uint64_t credit_overflow = 0;
-  std::uint64_t credit_blocked = 0;  // failed try_acquire calls
+/// Per-machine summary that is not stage-resolved: that machine's
+/// MachineCounters (the same values the engine folds into RuntimeStats)
+/// plus its credit-stall times.
+struct ProfileMachineSummary : MachineCounters {
   /// Wall time spent stalled in the blocking credit acquire, attributed
   /// to the CreditClass that eventually resolved the stall.
   std::array<double, kNumCreditClasses> stall_ms_by_class{};
   std::uint64_t stall_events = 0;  // acquires that did not succeed first try
-  std::uint64_t term_rounds = 0;   // termination statuses broadcast
-  // Query lifecycle (common/abort.h): this machine's live-frame peak (the
-  // max_live_contexts budget's tracked quantity) and abort-path drops.
-  std::uint64_t peak_live_contexts = 0;
-  std::uint64_t discarded_contexts = 0;
-  // Skew-aware balancing (DESIGN.md §14); 0 without a hot set.
-  std::uint64_t mirror_fanouts = 0;  // hot frames delegated (send side)
-  std::uint64_t mirror_expands = 0;  // delegations expanded (recv side)
-  /// Frames entered across all stages on this machine — the per-machine
-  /// load quantity the §14 imbalance line reports over.
-  std::uint64_t total_contexts = 0;
 
   double stall_ms_total() const {
     double sum = 0.0;
@@ -113,24 +122,13 @@ struct QueryProfile {
   /// once after merging all worker slots.
   void finish();
 
-  // Reconciliation accessors — each is the exact sum of the tree's
-  // leaves, asserted against the top-level QueryStats by the
-  // differential harness (sum of per-stage contexts == contexts_sent
-  // and friends).
-  std::uint64_t total_contexts() const;
-  std::uint64_t total_ctx_sent() const;
-  std::uint64_t total_ctx_received() const;
-  std::uint64_t total_msgs_sent() const;
-  std::uint64_t total_msgs_received() const;
-  std::uint64_t total_bytes_sent() const;
-  std::uint64_t total_index_probes() const;
-  std::uint64_t stage_contexts(StageId stage) const;
-  std::uint64_t stage_ctx_sent(StageId stage) const;
-  std::uint64_t total_term_rounds() const;
+  /// The sum of every leaf: what tests/reconcile.h checks against the
+  /// fabric counters in RuntimeStats.
+  ProfileDepthRow totals() const;
 
   /// Human-readable EXPLAIN PROFILE-style report.
   std::string text() const;
-  /// Machine-readable export (consumed by bench/run_bench_suite).
+  /// Machine-readable export for tooling.
   std::string to_json() const;
 };
 

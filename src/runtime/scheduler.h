@@ -23,8 +23,8 @@
 // Everything else is isolated per query by construction: every run owns
 // its Network / MachineRuntime / FlowControl / reach-index / termination
 // namespace, keyed by the query-scoped rpid and a unique run epoch, so
-// concurrent runs never share mutable state (see the audit note on
-// NetStats in net/network.h). The differential harness pins this: K
+// concurrent runs never share mutable state (see the note on
+// NetCounters in common/counters.h). The differential harness pins this: K
 // queries in flight under every fault schedule must each match their
 // solo runs exactly.
 //

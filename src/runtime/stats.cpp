@@ -46,45 +46,17 @@ std::string RuntimeStats::stage_table() const {
 
 std::string RuntimeStats::summary() const {
   std::ostringstream out;
-  out << "rows=" << output_rows << " elapsed=" << elapsed_ms << "ms"
-      << " msgs=" << data_messages << " bytes=" << bytes_sent
-      << " contexts=" << contexts_sent << " peak_buffered=" << peak_queued_bytes
-      << " blocked=" << flow_blocked << " overflow=" << flow_overflow_used
-      << " fast_path=" << flow_fast_path;
-  if (contexts_sent > 0) {
-    out << " bytes/ctx=" << (bytes_sent / contexts_sent);
-  }
-  if (faults_delayed + faults_duplicated + faults_dup_dropped + faults_stalls >
-      0) {
-    out << "\n  faults: delayed=" << faults_delayed
-        << " duplicated=" << faults_duplicated
-        << " dup_dropped=" << faults_dup_dropped
-        << " stalls=" << faults_stalls
-        << " outstanding_credits=" << flow_outstanding;
-  }
-  if (faults_lost + faults_corrupted + retransmits + acks_sent +
-          payload_corruptions_detected + dedup_drops >
-      0) {
-    out << "\n  transport: lost=" << faults_lost
-        << " corrupted=" << faults_corrupted
-        << " retransmits=" << retransmits << " acks=" << acks_sent
-        << " crc_detected=" << payload_corruptions_detected
-        << " dedup_drops=" << dedup_drops;
-  }
-  if (abort_messages + blackholed_messages + epoch_dropped +
-          contexts_discarded + retries >
-      0) {
-    out << "\n  lifecycle: abort_msgs=" << abort_messages
-        << " blackholed=" << blackholed_messages
-        << " epoch_dropped=" << epoch_dropped
-        << " discarded=" << contexts_discarded
-        << " peak_live=" << peak_live_contexts << " retries=" << retries;
-  }
-  if (mirror_fanouts + mirror_expands > 0) {
-    out << "\n  balance: mirror_fanouts=" << mirror_fanouts
-        << " mirror_expands=" << mirror_expands
-        << " imbalance=" << load_imbalance;
-  }
+  out << "rows=" << output_rows << " elapsed=" << elapsed_ms << "ms";
+  if (contexts_sent > 0) out << " bytes/ctx=" << (bytes_sent / contexts_sent);
+  if (load_imbalance > 0.0) out << " imbalance=" << load_imbalance;
+  if (retries > 0) out << " retries=" << retries;
+  std::string counters;
+  std::string_view open;
+  append_counter_sections(counters, static_cast<const NetCounters&>(*this),
+                          open);
+  append_counter_sections(
+      counters, static_cast<const MachineCounters&>(*this), open);
+  out << counters;
   for (std::size_t g = 0; g < rpq.size(); ++g) {
     const auto& r = rpq[g];
     out << "\n  rpq[" << g << "]: matches=" << r.total_matches()

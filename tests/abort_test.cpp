@@ -37,6 +37,7 @@
 #include "ldbc/synthetic.h"
 #include "net/network.h"
 #include "query_gen.h"
+#include "reconcile.h"
 
 #ifndef RPQD_CORPUS_DIR
 #error "RPQD_CORPUS_DIR must point at tests/corpus"
@@ -46,11 +47,13 @@ namespace rpqd {
 namespace {
 
 /// Invariants that must hold after EVERY run, aborted or not: all
-/// credits returned and the index uncorrupted. (The stronger oracle /
-/// consensus / profile-reconciliation checks only apply to runs that
-/// finished normally — an aborted run's counters are a partial prefix.)
+/// credits returned, the index uncorrupted, and — on a profiled run —
+/// the per-machine counters folding to the stats (expect_reconciled
+/// checks the tree itself only on runs that finished normally; an
+/// aborted run's tree is a partial prefix).
 void check_abort_invariants(const QueryResult& result,
                             const std::string& what) {
+  if (result.profile.enabled) expect_reconciled(result, what);
   EXPECT_EQ(result.stats.flow_outstanding, 0u)
       << "credit leak after abort; " << what;
   EXPECT_EQ(result.stats.flow_overflow_outstanding, 0u)
@@ -79,7 +82,9 @@ TEST(AbortLifecycle, UserCancelMidFlightEndsCleanAndDatabaseIsReusable) {
   const std::string query =
       "SELECT COUNT(*) FROM MATCH (v0) -/:edge*/-> (v1)";
   const std::uint64_t expected = oracle_count(query, synthetic::make_complete(10));
-  Database db(synthetic::make_complete(10), 3, small_config());
+  EngineConfig ec = small_config();
+  ec.profile = true;  // the abort drain's discards must fold per machine
+  Database db(synthetic::make_complete(10), 3, ec);
 
   QueryResult result;
   std::thread runner([&] { result = db.query(query); });
@@ -295,7 +300,9 @@ QueryResult run_with_watchdog(Database& db, const std::string& query) {
 }
 
 TEST(AbortLifecycle, CrashStopTerminatesWithMachineFailure) {
-  Database db(synthetic::make_complete(10), 3, small_config());
+  EngineConfig ec = small_config();
+  ec.profile = true;  // the fabric drain's discards must fold per machine
+  Database db(synthetic::make_complete(10), 3, ec);
   db.set_fault_schedule("crash-stop", 7);
   const std::string query =
       "SELECT COUNT(*) FROM MATCH (v0) -/:edge*/-> (v1)";
@@ -383,9 +390,9 @@ TEST(AbortFabric, StaleEpochDataIsDroppedAtDelivery) {
   msg.header.type = MessageType::kData;
   msg.header.src = 1;
   msg.header.epoch = 3;  // a dead query's epoch
-  net.inbox(0).push(std::move(msg), net.stats());
+  net.inbox(0).push(std::move(msg));
   EXPECT_FALSE(net.inbox(0).has_data());
-  EXPECT_EQ(net.stats().epoch_dropped.load(), 1u);
+  EXPECT_EQ(net.counters().epoch_dropped, 1u);
 }
 
 TEST(AbortFabric, AbortBroadcastSetsEveryInboxAndFirstReasonWins) {
@@ -397,7 +404,7 @@ TEST(AbortFabric, AbortBroadcastSetsEveryInboxAndFirstReasonWins) {
     EXPECT_EQ(net.inbox(m).abort_reason(), AbortReason::kDeadline);
     EXPECT_FALSE(net.inbox(m).crashed());
   }
-  EXPECT_EQ(net.stats().abort_messages.load(), 6u);
+  EXPECT_EQ(net.counters().abort_messages, 6u);
 }
 
 TEST(AbortFabric, AbortControllerFirstRequestFixesTheReason) {
@@ -508,6 +515,7 @@ void replay_abort_entry(const AbortCorpusEntry& e) {
   const auto args = abort_spec_args(e.abort_spec);
 
   EngineConfig ec = small_config();
+  ec.profile = true;  // every shape's counters must fold per machine
   AbortReason expect_reason = AbortReason::kNone;
   if (shape == "deadline") {
     ec.query_deadline_ms = args.at(0);
@@ -641,7 +649,9 @@ void run_abort_sweep(int num_queries, const std::vector<std::string>& schedules,
                                 " schedule=" + schedule +
                                 " fseed=" + std::to_string(fseed) +
                                 " query=" + query;
-      Database db(synthetic::make_random(gcfg), 3, small_config());
+      EngineConfig ec = small_config();
+      ec.profile = true;  // the counter fold must hold under every schedule
+      Database db(synthetic::make_random(gcfg), 3, ec);
       db.set_fault_schedule(schedule, fseed);
       // Seeded mid-flight cancel delay (microseconds).
       const std::uint64_t delay_us =

@@ -22,6 +22,7 @@
 #include "api/rpqd.h"
 #include "baseline/reference.h"
 #include "ldbc/synthetic.h"
+#include "reconcile.h"
 
 #ifndef RPQD_CORPUS_DIR
 #error "RPQD_CORPUS_DIR must point at tests/corpus"
@@ -134,34 +135,9 @@ TEST(CorpusReplay, AllEntriesAgreeWithOracleAndHoldInvariants) {
     EXPECT_EQ(result.stats.flow_outstanding, 0u);
     EXPECT_EQ(result.stats.flow_overflow_outstanding, 0u);
     EXPECT_NE(result.abort_reason, AbortReason::kCreditStarvation);
-    // Profile totals must reconcile exactly with the fabric counters on
-    // every replayed fault schedule.
-    ASSERT_TRUE(result.profile.enabled);
-    EXPECT_EQ(result.profile.total_ctx_sent(), result.stats.contexts_sent);
-    EXPECT_EQ(result.profile.total_ctx_received(),
-              result.stats.contexts_sent);
-    EXPECT_EQ(result.profile.total_msgs_sent(), result.stats.data_messages);
-    EXPECT_EQ(result.profile.total_msgs_received(),
-              result.stats.data_messages);
-    EXPECT_EQ(result.profile.total_bytes_sent(), result.stats.bytes_sent);
-    for (StageId s = 0; s < result.stats.stages.size(); ++s) {
-      EXPECT_EQ(result.profile.stage_contexts(s),
-                result.stats.stages[s].visits);
-      EXPECT_EQ(result.profile.stage_ctx_sent(s),
-                result.stats.stages[s].remote_out);
-    }
-    // §14 load accounting: the profile's per-machine context summaries
-    // must reconcile with the engine's machine_contexts vector, and
-    // their sum with the tree's leaves.
-    ASSERT_EQ(result.profile.machines.size(),
-              result.stats.machine_contexts.size());
-    std::uint64_t machine_total = 0;
-    for (std::size_t m = 0; m < result.profile.machines.size(); ++m) {
-      EXPECT_EQ(result.profile.machines[m].total_contexts,
-                result.stats.machine_contexts[m]);
-      machine_total += result.profile.machines[m].total_contexts;
-    }
-    EXPECT_EQ(machine_total, result.profile.total_contexts());
+    // Profile totals, per-stage rows and per-machine counters must
+    // reconcile exactly with the stats on every replayed fault schedule.
+    expect_reconciled(result, e.source);
     for (const auto& r : result.stats.rpq) {
       EXPECT_EQ(r.index_duplicate_entries, 0u);
       if (r.consensus_max_depth) {

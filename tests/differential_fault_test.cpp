@@ -33,6 +33,7 @@
 #include "common/rng.h"
 #include "ldbc/synthetic.h"
 #include "query_gen.h"
+#include "reconcile.h"
 
 namespace rpqd {
 namespace {
@@ -50,30 +51,7 @@ void check_invariants(const QueryResult& result, const std::string& repro) {
       << "stale overflow credit bookkeeping; " << repro;
   EXPECT_NE(result.abort_reason, AbortReason::kCreditStarvation)
       << "credit starvation; " << repro;
-  if (result.profile.enabled) {
-    // Profile/stats reconciliation: the tree's leaves must sum exactly
-    // to the fabric counters, under every fault schedule — dropped or
-    // double-counted attributions show up here.
-    const QueryProfile& p = result.profile;
-    EXPECT_EQ(p.total_ctx_sent(), result.stats.contexts_sent)
-        << "profile ctx_sent != contexts_sent; " << repro;
-    EXPECT_EQ(p.total_ctx_received(), result.stats.contexts_sent)
-        << "profile ctx_received != contexts_sent; " << repro;
-    EXPECT_EQ(p.total_msgs_sent(), result.stats.data_messages)
-        << "profile msgs_sent != data_messages; " << repro;
-    EXPECT_EQ(p.total_msgs_received(), result.stats.data_messages)
-        << "profile msgs_received != data_messages; " << repro;
-    EXPECT_EQ(p.total_bytes_sent(), result.stats.bytes_sent)
-        << "profile bytes_sent != bytes_sent; " << repro;
-    for (StageId s = 0; s < result.stats.stages.size(); ++s) {
-      EXPECT_EQ(p.stage_contexts(s), result.stats.stages[s].visits)
-          << "profile contexts != stage visits at stage "
-          << static_cast<unsigned>(s) << "; " << repro;
-      EXPECT_EQ(p.stage_ctx_sent(s), result.stats.stages[s].remote_out)
-          << "profile ctx_sent != stage remote_out at stage "
-          << static_cast<unsigned>(s) << "; " << repro;
-    }
-  }
+  if (result.profile.enabled) expect_reconciled(result, repro);
   for (std::size_t g = 0; g < result.stats.rpq.size(); ++g) {
     const RpqStageStats& r = result.stats.rpq[g];
     EXPECT_EQ(r.index_duplicate_entries, 0u)

@@ -58,9 +58,9 @@ TEST(MessagePriority, FifoModePopsInArrivalOrder) {
     m.header.count = 1;
     net.send(0, std::move(m));
   }
-  EXPECT_EQ(net.inbox(0).try_pop_data(net.stats())->header.depth, 1u);
-  EXPECT_EQ(net.inbox(0).try_pop_data(net.stats())->header.depth, 5u);
-  EXPECT_EQ(net.inbox(0).try_pop_data(net.stats())->header.depth, 3u);
+  EXPECT_EQ(net.inbox(0).try_pop_data()->header.depth, 1u);
+  EXPECT_EQ(net.inbox(0).try_pop_data()->header.depth, 5u);
+  EXPECT_EQ(net.inbox(0).try_pop_data()->header.depth, 3u);
 }
 
 TEST(MessagePriority, PriorityModeBreaksTiesFifo) {
@@ -76,9 +76,9 @@ TEST(MessagePriority, PriorityModeBreaksTiesFifo) {
     m.payload.resize(bytes);
     net.send(0, std::move(m));
   }
-  EXPECT_EQ(net.inbox(0).try_pop_data(net.stats())->payload.size(), 10u);
-  EXPECT_EQ(net.inbox(0).try_pop_data(net.stats())->payload.size(), 20u);
-  EXPECT_EQ(net.inbox(0).try_pop_data(net.stats())->payload.size(), 30u);
+  EXPECT_EQ(net.inbox(0).try_pop_data()->payload.size(), 10u);
+  EXPECT_EQ(net.inbox(0).try_pop_data()->payload.size(), 20u);
+  EXPECT_EQ(net.inbox(0).try_pop_data()->payload.size(), 30u);
 }
 
 TEST(MessagePriority, EngineResultsUnchangedInFifoMode) {

@@ -27,7 +27,7 @@ TEST(FlowControl, FixedStageCreditsExhaust) {
     EXPECT_EQ(*c, CreditClass::kFixed);
   }
   EXPECT_FALSE(fc.try_acquire(1, 0, 0).has_value());
-  EXPECT_EQ(fc.stats().blocked, 1u);
+  EXPECT_EQ(fc.counters().flow_blocked, 1u);
   // Other (stage, machine) slots are unaffected.
   EXPECT_TRUE(fc.try_acquire(0, 0, 0).has_value());
   EXPECT_TRUE(fc.try_acquire(1, 1, 0).has_value());
@@ -74,7 +74,7 @@ TEST(FlowControl, RpqDeepDepthsUseSharedThenOverflow) {
   // A different deep depth still gets its own overflow credit — this is
   // the §3.3 livelock break.
   EXPECT_EQ(*fc.try_acquire(0, 0, 8), CreditClass::kRpqOverflow);
-  EXPECT_EQ(fc.stats().overflow_used, 2u);
+  EXPECT_EQ(fc.counters().flow_overflow_used, 2u);
 }
 
 TEST(FlowControl, OverflowReleaseReenables) {
@@ -115,7 +115,7 @@ TEST(FlowControl, BlockedCounterAccumulates) {
   while (fc.try_acquire(0, 0, 0)) {
   }
   for (int i = 0; i < 9; ++i) fc.try_acquire(0, 0, 0);
-  EXPECT_EQ(fc.stats().blocked, 10u);
+  EXPECT_EQ(fc.counters().flow_blocked, 10u);
 }
 
 TEST(FlowControl, OverflowOutstandingTracksInFlightDepths) {
@@ -147,9 +147,9 @@ TEST(FlowControl, FastPathCountsLockFreeGrants) {
   EXPECT_EQ(*fc.try_acquire(0, 0, 7), CreditClass::kRpqShared);
   EXPECT_EQ(*fc.try_acquire(0, 0, 7), CreditClass::kRpqShared);
   EXPECT_EQ(*fc.try_acquire(0, 0, 7), CreditClass::kRpqOverflow);
-  const auto stats = fc.stats();
-  EXPECT_EQ(stats.acquired, 4u);
-  EXPECT_EQ(stats.fast_path, 3u);  // overflow is the one slow-path grant
+  const MachineCounters c = fc.counters();
+  EXPECT_EQ(c.flow_fast_path + c.flow_overflow_used, 4u);  // every grant
+  EXPECT_EQ(c.flow_fast_path, 3u);  // overflow is the one slow-path grant
 }
 
 }  // namespace

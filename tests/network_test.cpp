@@ -27,10 +27,10 @@ TEST(Inbox, PriorityDeeperDepthFirst) {
   net.send(0, data_message(0, 2, 5));
   net.send(0, data_message(0, 2, 3));
   auto& inbox = net.inbox(0);
-  EXPECT_EQ(inbox.try_pop_data(net.stats())->header.depth, 5u);
-  EXPECT_EQ(inbox.try_pop_data(net.stats())->header.depth, 3u);
-  EXPECT_EQ(inbox.try_pop_data(net.stats())->header.depth, 1u);
-  EXPECT_FALSE(inbox.try_pop_data(net.stats()).has_value());
+  EXPECT_EQ(inbox.try_pop_data()->header.depth, 5u);
+  EXPECT_EQ(inbox.try_pop_data()->header.depth, 3u);
+  EXPECT_EQ(inbox.try_pop_data()->header.depth, 1u);
+  EXPECT_FALSE(inbox.try_pop_data().has_value());
 }
 
 TEST(Inbox, PriorityLaterStageFirstAtSameDepth) {
@@ -39,16 +39,16 @@ TEST(Inbox, PriorityLaterStageFirstAtSameDepth) {
   net.send(0, data_message(0, 4, 2));
   net.send(0, data_message(0, 3, 2));
   auto& inbox = net.inbox(0);
-  EXPECT_EQ(inbox.try_pop_data(net.stats())->header.stage, 4u);
-  EXPECT_EQ(inbox.try_pop_data(net.stats())->header.stage, 3u);
-  EXPECT_EQ(inbox.try_pop_data(net.stats())->header.stage, 1u);
+  EXPECT_EQ(inbox.try_pop_data()->header.stage, 4u);
+  EXPECT_EQ(inbox.try_pop_data()->header.stage, 3u);
+  EXPECT_EQ(inbox.try_pop_data()->header.stage, 1u);
 }
 
 TEST(Inbox, DepthDominatesStage) {
   Network net(1);
   net.send(0, data_message(0, 9, 0));
   net.send(0, data_message(0, 1, 4));
-  EXPECT_EQ(net.inbox(0).try_pop_data(net.stats())->header.depth, 4u);
+  EXPECT_EQ(net.inbox(0).try_pop_data()->header.depth, 4u);
 }
 
 TEST(Inbox, DoneMessagesReleaseCreditsImmediately) {
@@ -74,7 +74,7 @@ TEST(Inbox, DoneMessagesReleaseCreditsImmediately) {
   done.header.credit_depth = 0;
   net.send(0, std::move(done));
   EXPECT_TRUE(fc.try_acquire(1, 0, 0).has_value());
-  EXPECT_EQ(net.stats().done_messages.load(), 1u);
+  EXPECT_EQ(net.counters().done_messages, 1u);
   EXPECT_FALSE(net.inbox(0).has_data());  // DONEs never queue as data
 }
 
@@ -87,28 +87,41 @@ TEST(Inbox, TerminationMessagesQueueSeparately) {
   EXPECT_FALSE(net.inbox(0).has_data());
   EXPECT_TRUE(net.inbox(0).try_pop_term().has_value());
   EXPECT_FALSE(net.inbox(0).try_pop_term().has_value());
-  EXPECT_EQ(net.stats().term_messages.load(), 1u);
+  EXPECT_EQ(net.counters().term_messages, 1u);
 }
 
 TEST(Network, StatsCountDataBytesAndContexts) {
   Network net(2);
   net.send(1, data_message(0, 1, 0, 3, 100));
   net.send(1, data_message(0, 1, 0, 2, 50));
-  EXPECT_EQ(net.stats().data_messages.load(), 2u);
-  EXPECT_EQ(net.stats().contexts.load(), 5u);
-  EXPECT_EQ(net.stats().bytes.load(), 150u);
+  EXPECT_EQ(net.counters().data_messages, 2u);
+  EXPECT_EQ(net.counters().contexts_sent, 5u);
+  EXPECT_EQ(net.counters().bytes_sent, 150u);
 }
 
 TEST(Network, PeakQueuedBytesHighWaterMark) {
   Network net(1);
+  Inbox& inbox = net.inbox(0);
   net.send(0, data_message(0, 1, 0, 1, 100));
   net.send(0, data_message(0, 1, 0, 1, 200));
-  EXPECT_EQ(net.stats().queued_bytes.load(), 300u);
-  EXPECT_EQ(net.stats().peak_queued_bytes.load(), 300u);
-  net.inbox(0).try_pop_data(net.stats());
-  net.inbox(0).try_pop_data(net.stats());
-  EXPECT_EQ(net.stats().queued_bytes.load(), 0u);
-  EXPECT_EQ(net.stats().peak_queued_bytes.load(), 300u);  // peak sticks
+  EXPECT_EQ(inbox.queued_bytes(), 300u);
+  EXPECT_EQ(inbox.peak_queued_bytes(), 300u);
+  inbox.try_pop_data();
+  inbox.try_pop_data();
+  EXPECT_EQ(inbox.queued_bytes(), 0u);
+  EXPECT_EQ(inbox.peak_queued_bytes(), 300u);  // peak sticks
+}
+
+/// The cluster's buffered-byte peak as the engine reports it: the
+/// machine-counter fold over every inbox's own peak.
+std::uint64_t folded_peak_queued_bytes(Network& net) {
+  MachineCounters cluster;
+  for (MachineId m = 0; m < net.num_machines(); ++m) {
+    MachineCounters machine;
+    machine.peak_queued_bytes = net.inbox(m).peak_queued_bytes();
+    cluster += machine;
+  }
+  return cluster.peak_queued_bytes;
 }
 
 TEST(Network, PerMachinePeakIsMaxNotSum) {
@@ -118,10 +131,9 @@ TEST(Network, PerMachinePeakIsMaxNotSum) {
   // per-machine memory metric must report 200, not 300.
   net.send(0, data_message(1, 1, 0, 1, 100));
   net.send(1, data_message(0, 1, 0, 1, 200));
-  EXPECT_EQ(net.stats().peak_queued_bytes.load(), 300u);  // aggregate sum
   EXPECT_EQ(net.inbox(0).peak_queued_bytes(), 100u);
   EXPECT_EQ(net.inbox(1).peak_queued_bytes(), 200u);
-  EXPECT_EQ(net.max_peak_queued_bytes(), 200u);
+  EXPECT_EQ(folded_peak_queued_bytes(net), 200u);
 }
 
 TEST(Network, PerMachinePeaksAtDifferentTimes) {
@@ -130,14 +142,14 @@ TEST(Network, PerMachinePeaksAtDifferentTimes) {
   // anything: the true max across machines is 300, and the two peaks
   // must not be added together (that would report 420).
   net.send(0, data_message(1, 1, 0, 1, 300));
-  EXPECT_TRUE(net.inbox(0).try_pop_data(net.stats()).has_value());
+  EXPECT_TRUE(net.inbox(0).try_pop_data().has_value());
   net.send(1, data_message(0, 1, 0, 1, 120));
-  EXPECT_TRUE(net.inbox(1).try_pop_data(net.stats()).has_value());
+  EXPECT_TRUE(net.inbox(1).try_pop_data().has_value());
   EXPECT_EQ(net.inbox(0).peak_queued_bytes(), 300u);
   EXPECT_EQ(net.inbox(1).peak_queued_bytes(), 120u);
   EXPECT_EQ(net.inbox(0).queued_bytes(), 0u);
   EXPECT_EQ(net.inbox(1).queued_bytes(), 0u);
-  EXPECT_EQ(net.max_peak_queued_bytes(), 300u);
+  EXPECT_EQ(folded_peak_queued_bytes(net), 300u);
 }
 
 TEST(Network, SendToUnknownMachineThrows) {
@@ -160,18 +172,16 @@ TEST(Fault, DelayedDataStaysInvisibleUntilItsReleaseTick) {
   // are the tick clock, so it must surface within delay_window pops.
   EXPECT_TRUE(inbox.has_data());
   EXPECT_EQ(inbox.data_size(), 1u);
-  EXPECT_EQ(net.stats().faults_delayed.load(), 1u);
-  EXPECT_EQ(net.stats().data_messages.load(), 1u);  // counted on arrival
+  EXPECT_EQ(net.counters().faults_delayed, 1u);
+  EXPECT_EQ(net.counters().data_messages, 1u);  // counted on arrival
   int pops_until_visible = 0;
   std::optional<Message> msg;
-  while (!(msg = inbox.try_pop_data(net.stats())).has_value()) {
+  while (!(msg = inbox.try_pop_data()).has_value()) {
     ASSERT_LT(++pops_until_visible, 5);  // bounded by delay_window
   }
   EXPECT_EQ(msg->header.count, 2u);
   EXPECT_FALSE(inbox.has_data());
-  EXPECT_EQ(net.stats().queued_bytes.load(), 0u);
-  // Limbo bytes belong to the receiving machine from arrival on: the
-  // per-inbox accounting mirrors the cluster-wide one on the fault path.
+  // Limbo bytes belong to the receiving machine from arrival on.
   EXPECT_EQ(inbox.queued_bytes(), 0u);
   EXPECT_EQ(inbox.peak_queued_bytes(), 64u);
 }
@@ -182,14 +192,14 @@ TEST(Fault, DuplicatedDataIsDeliveredExactlyOnce) {
   plan.dup_data_prob = 1.0;
   net.set_fault_plan(plan);
   net.send(0, data_message(0, 1, 0, 1, 32));
-  EXPECT_EQ(net.stats().faults_duplicated.load(), 1u);
-  EXPECT_EQ(net.stats().faults_dup_dropped.load(), 1u);
+  EXPECT_EQ(net.counters().faults_duplicated, 1u);
+  EXPECT_EQ(net.counters().faults_dup_dropped, 1u);
   // The transport dedup absorbs the copy: engine-visible stats and the
   // queue see one message.
-  EXPECT_EQ(net.stats().data_messages.load(), 1u);
-  EXPECT_EQ(net.stats().contexts.load(), 1u);
-  EXPECT_TRUE(net.inbox(0).try_pop_data(net.stats()).has_value());
-  EXPECT_FALSE(net.inbox(0).try_pop_data(net.stats()).has_value());
+  EXPECT_EQ(net.counters().data_messages, 1u);
+  EXPECT_EQ(net.counters().contexts_sent, 1u);
+  EXPECT_TRUE(net.inbox(0).try_pop_data().has_value());
+  EXPECT_FALSE(net.inbox(0).try_pop_data().has_value());
 }
 
 TEST(Fault, DuplicatedDoneReleasesItsCreditExactlyOnce) {
@@ -213,7 +223,7 @@ TEST(Fault, DuplicatedDoneReleasesItsCreditExactlyOnce) {
   done.header.credit = held[0];
   done.header.credit_depth = 0;
   net.send(0, std::move(done));
-  EXPECT_EQ(net.stats().faults_duplicated.load(), 1u);
+  EXPECT_EQ(net.counters().faults_duplicated, 1u);
   // Exactly one credit came back — a double release would either assert
   // inside FlowControl or hand out more credits than exist.
   EXPECT_TRUE(fc.try_acquire(1, 0, 0).has_value());
@@ -244,11 +254,11 @@ TEST(Fault, JitteredDoneReleasesCreditAfterPickupTicks) {
   net.send(0, std::move(done));
   // The credit is in limbo: not yet released, the sender stays blocked.
   EXPECT_FALSE(fc.try_acquire(1, 0, 0).has_value());
-  EXPECT_EQ(net.stats().faults_delayed.load(), 1u);
+  EXPECT_EQ(net.counters().faults_delayed, 1u);
   // Pickup polls advance the limbo clock; within the window the DONE is
   // delivered and the credit usable again.
   for (int tick = 0; tick < 3; ++tick) {
-    net.inbox(0).try_pop_data(net.stats());
+    net.inbox(0).try_pop_data();
   }
   EXPECT_TRUE(fc.try_acquire(1, 0, 0).has_value());
 }
@@ -279,7 +289,7 @@ TEST(Fault, DrainDeliversLimboedDonesAfterShutdown) {
   EXPECT_FALSE(fc.try_acquire(1, 0, 0).has_value());
   // Post-join drain (engine shutdown path): every held credit returns,
   // so the credit-leak audit sees a fully drained fabric.
-  net.inbox(0).drain_faults(net.stats());
+  net.inbox(0).drain_faults();
   std::size_t reacquired = 0;
   while (fc.try_acquire(1, 0, 0).has_value()) ++reacquired;
   EXPECT_EQ(reacquired, total);
@@ -299,7 +309,7 @@ TEST(Fault, TerminationStatusesAreDuplicatedNotDeduped) {
   EXPECT_TRUE(net.inbox(0).try_pop_term().has_value());
   EXPECT_TRUE(net.inbox(0).try_pop_term().has_value());
   EXPECT_FALSE(net.inbox(0).try_pop_term().has_value());
-  EXPECT_EQ(net.stats().term_messages.load(), 2u);
+  EXPECT_EQ(net.counters().term_messages, 2u);
 }
 
 TEST(Fault, SameSeedSamePlanSameDeliveryOrder) {
@@ -318,7 +328,7 @@ TEST(Fault, SameSeedSamePlanSameDeliveryOrder) {
     // Pops double as limbo ticks; 40 messages resolve well within
     // 40 + 6 polls.
     for (int pops = 0; pops < 200 && order.size() < 40; ++pops) {
-      if (auto msg = net.inbox(0).try_pop_data(net.stats())) {
+      if (auto msg = net.inbox(0).try_pop_data()) {
         order.push_back(msg->header.count);
       }
     }

@@ -9,6 +9,7 @@
 
 #include "api/rpqd.h"
 #include "ldbc/synthetic.h"
+#include "reconcile.h"
 #include "runtime/profile.h"
 
 namespace rpqd {
@@ -24,14 +25,6 @@ EngineConfig test_config() {
 
 constexpr const char* kPlusQuery =
     "SELECT COUNT(*) FROM MATCH (a) -/:next+/-> (b)";
-
-// Sums one ProfileDepthRow field over every stage total of the tree.
-std::uint64_t tree_sum(const QueryProfile& p,
-                       std::uint64_t ProfileDepthRow::*field) {
-  std::uint64_t sum = 0;
-  for (const auto& stage : p.stages) sum += stage.total.*field;
-  return sum;
-}
 
 TEST(Profile, DisabledByDefaultAndAllocationFree) {
   Database db(synthetic::make_chain(12), 3, test_config());
@@ -90,36 +83,20 @@ TEST(Profile, ConfigFlagEnablesEveryQuery) {
   Database db(synthetic::make_chain(8), 2, cfg);
   const QueryResult r = db.query(kPlusQuery);
   EXPECT_TRUE(r.profile.enabled);
-  EXPECT_GT(r.profile.total_contexts(), 0u);
+  EXPECT_GT(r.profile.totals().contexts, 0u);
 }
 
 TEST(Profile, ReconcilesExactlyWithRuntimeStats) {
   Database db(synthetic::make_chain(16), 4, test_config());
   const QueryResult r =
       db.query(std::string("PROFILE ") + kPlusQuery);
-  const QueryProfile& p = r.profile;
-  ASSERT_TRUE(p.enabled);
-  // Network totals: every context/message/byte the fabric counted is
-  // attributed to exactly one (stage, machine, depth) cell — and every
-  // sent one was received (nothing is lost or double-counted).
-  EXPECT_EQ(p.total_ctx_sent(), r.stats.contexts_sent);
-  EXPECT_EQ(p.total_ctx_received(), r.stats.contexts_sent);
-  EXPECT_EQ(p.total_msgs_sent(), r.stats.data_messages);
-  EXPECT_EQ(p.total_msgs_received(), r.stats.data_messages);
-  EXPECT_EQ(p.total_bytes_sent(), r.stats.bytes_sent);
-  // Per-stage reconciliation against the EXPLAIN ANALYZE breakdown.
-  ASSERT_EQ(p.stages.size(), r.stats.stages.size());
-  for (StageId s = 0; s < p.stages.size(); ++s) {
-    EXPECT_EQ(p.stage_contexts(s), r.stats.stages[s].visits) << "stage " << s;
-    EXPECT_EQ(p.stage_ctx_sent(s), r.stats.stages[s].remote_out)
-        << "stage " << s;
-  }
-  EXPECT_GT(p.total_contexts(), 0u);
-  EXPECT_GT(p.total_term_rounds(), 0u);
-  // Credit accounting mirrors the flow-control stats the engine reports.
-  std::uint64_t fast = 0;
-  for (const auto& m : p.machines) fast += m.credit_fast_path;
-  EXPECT_EQ(fast, r.stats.flow_fast_path);
+  // Every context/message/byte the fabric counted is attributed to
+  // exactly one (stage, machine, depth) cell, every sent one was
+  // received, and the per-machine counters fold to the stats.
+  expect_reconciled(r, "chain:16 PROFILE +");
+  EXPECT_GT(r.profile.totals().contexts, 0u);
+  EXPECT_GT(r.stats.term_rounds, 0u);  // == the machines' fold
+  EXPECT_GT(r.stats.flow_fast_path, 0u);
 }
 
 TEST(Profile, IndexProbeOutcomesMatchRpqStats) {
@@ -133,14 +110,12 @@ TEST(Profile, IndexProbeOutcomesMatchRpqStats) {
   // `+` has min_hop = 1: depth-0 entries count as matches but sit below
   // the index window (§4.5) and are never probed.
   ASSERT_FALSE(r.stats.rpq[0].matches_per_depth.empty());
-  EXPECT_EQ(tree_sum(r.profile, &ProfileDepthRow::index_probes),
-            r.stats.rpq[0].total_matches() -
-                r.stats.rpq[0].matches_per_depth[0]);
-  EXPECT_EQ(tree_sum(r.profile, &ProfileDepthRow::index_eliminated),
-            r.stats.rpq[0].total_eliminated());
-  EXPECT_EQ(tree_sum(r.profile, &ProfileDepthRow::index_duplicated),
-            r.stats.rpq[0].total_duplicated());
-  EXPECT_GT(tree_sum(r.profile, &ProfileDepthRow::index_eliminated), 0u);
+  const ProfileDepthRow all = r.profile.totals();
+  EXPECT_EQ(all.index_probes, r.stats.rpq[0].total_matches() -
+                                  r.stats.rpq[0].matches_per_depth[0]);
+  EXPECT_EQ(all.index_eliminated, r.stats.rpq[0].total_eliminated());
+  EXPECT_EQ(all.index_duplicated, r.stats.rpq[0].total_duplicated());
+  EXPECT_GT(all.index_eliminated, 0u);
 }
 
 TEST(Profile, TextAndJsonRenderings) {
@@ -173,8 +148,7 @@ TEST(Profile, GrowthBeyondPreallocatedDepthsStillReconciles) {
       db.query(std::string("PROFILE ") + kPlusQuery);
   EXPECT_GT(profile_allocations(), before);  // slots + growth are counted
   EXPECT_EQ(r.count, 190u);  // 19+18+...+1
-  EXPECT_EQ(r.profile.total_ctx_sent(), r.stats.contexts_sent);
-  EXPECT_EQ(r.profile.total_msgs_sent(), r.stats.data_messages);
+  expect_reconciled(r, "chain:20 prealloc=2");
 }
 
 TEST(Profile, PreparedQueryFollowsEngineConfig) {

@@ -129,8 +129,8 @@ TEST(ReliableFabric, SequencedMessagesCarryLinkSeqAndCrc) {
   ASSERT_TRUE(net.reliable());
   net.send(1, data_message(0, 1, 0, 1, 16));
   net.send(1, data_message(0, 1, 0, 1, 16));
-  auto first = net.inbox(1).try_pop_data(net.stats());
-  auto second = net.inbox(1).try_pop_data(net.stats());
+  auto first = net.inbox(1).try_pop_data();
+  auto second = net.inbox(1).try_pop_data();
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(first->header.link_seq, 1u);
@@ -149,13 +149,13 @@ TEST(ReliableFabric, DuplicateDeliveryIsDroppedBeforeAnyCounting) {
   net.configure_reliability(ReliableConfig{});
   ASSERT_TRUE(net.reliable());
   net.send(1, data_message(0, 1, 0, 3, 32));
-  EXPECT_EQ(net.stats().faults_duplicated.load(), 1u);
-  EXPECT_EQ(net.stats().dedup_drops.load(), 1u);  // link-seq dedup, not seen_
-  EXPECT_EQ(net.stats().data_messages.load(), 1u);
-  EXPECT_EQ(net.stats().contexts.load(), 3u);
-  EXPECT_EQ(net.stats().bytes.load(), 32u);
-  EXPECT_TRUE(net.inbox(1).try_pop_data(net.stats()).has_value());
-  EXPECT_FALSE(net.inbox(1).try_pop_data(net.stats()).has_value());
+  EXPECT_EQ(net.counters().faults_duplicated, 1u);
+  EXPECT_EQ(net.counters().dedup_drops, 1u);  // link-seq dedup, not seen_
+  EXPECT_EQ(net.counters().data_messages, 1u);
+  EXPECT_EQ(net.counters().contexts_sent, 3u);
+  EXPECT_EQ(net.counters().bytes_sent, 32u);
+  EXPECT_TRUE(net.inbox(1).try_pop_data().has_value());
+  EXPECT_FALSE(net.inbox(1).try_pop_data().has_value());
 }
 
 TEST(ReliableFabric, CorruptedPayloadIsDetectedAndDropped) {
@@ -168,9 +168,9 @@ TEST(ReliableFabric, CorruptedPayloadIsDetectedAndDropped) {
   net.send(1, data_message(0, 1, 0, 1, 64));
   // Both the original and any retransmission are corrupted; the receiver
   // must detect and drop every copy without counting a delivery.
-  EXPECT_GE(net.stats().faults_corrupted.load(), 1u);
-  EXPECT_GE(net.stats().payload_corruptions_detected.load(), 1u);
-  EXPECT_EQ(net.stats().data_messages.load(), 0u);
+  EXPECT_GE(net.counters().faults_corrupted, 1u);
+  EXPECT_GE(net.counters().payload_corruptions_detected, 1u);
+  EXPECT_EQ(net.counters().data_messages, 0u);
   EXPECT_FALSE(net.inbox(1).has_data());
 }
 
@@ -190,15 +190,15 @@ TEST(ReliableFabric, LostMessageIsRecoveredByPump) {
   // Half the attempts vanish; pumping the timers must eventually deliver
   // every message exactly once (bounded: loss_rate < 1 and fresh dice
   // per attempt).
-  for (int tick = 0; tick < 4000 && net.stats().data_messages.load() < 16;
+  for (int tick = 0; tick < 4000 && net.counters().data_messages < 16;
        ++tick) {
     net.pump(0);
   }
-  EXPECT_EQ(net.stats().data_messages.load(), 16u);
-  EXPECT_GE(net.stats().faults_lost.load(), 1u);
-  EXPECT_GE(net.stats().retransmits.load(), 1u);
+  EXPECT_EQ(net.counters().data_messages, 16u);
+  EXPECT_GE(net.counters().faults_lost, 1u);
+  EXPECT_GE(net.counters().retransmits, 1u);
   unsigned popped = 0;
-  while (net.inbox(1).try_pop_data(net.stats()).has_value()) ++popped;
+  while (net.inbox(1).try_pop_data().has_value()) ++popped;
   EXPECT_EQ(popped, 16u);  // exactly once each, despite retransmission
 }
 
@@ -378,7 +378,7 @@ TEST(ReliableTransport, TransportCountersSurfaceInSummaryAndProfile) {
   ASSERT_FALSE(result.aborted);
   ASSERT_GE(result.stats.faults_lost, 1u);
   // Transport work is query-global, not stage-resolved: it is reported
-  // once, on the QueryStats summary line, beside a profiled run's tree.
+  // once, on the RuntimeStats summary line, beside a profiled run's tree.
   ASSERT_TRUE(result.profile.enabled);
   EXPECT_GE(result.stats.retransmits, 1u);
   EXPECT_NE(result.stats.summary().find("transport:"), std::string::npos);

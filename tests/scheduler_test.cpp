@@ -223,7 +223,7 @@ TEST(Scheduler, ProfilePrefixOnSubmit) {
   const QueryResult r =
       db.await(db.submit(std::string("PROFILE ") + kChainAll));
   ASSERT_TRUE(r.profile.enabled);
-  EXPECT_EQ(r.profile.total_ctx_sent(), r.stats.contexts_sent);
+  EXPECT_EQ(r.profile.totals().ctx_sent, r.stats.contexts_sent);
   EXPECT_FALSE(db.await(db.submit(kChainAll)).profile.enabled);
 }
 

@@ -25,6 +25,7 @@
 #include "baseline/reference.h"
 #include "graph/repartition.h"
 #include "ldbc/synthetic.h"
+#include "reconcile.h"
 
 #ifndef RPQD_SKEW_CORPUS_DIR
 #error "RPQD_SKEW_CORPUS_DIR must point at tests/corpus/skew"
@@ -225,28 +226,10 @@ TEST(HotMirror, ProfileIdentitiesHoldWithDelegationOn) {
   Database db(synthetic::make_tree(6, 3), 4, small_config());
   db.set_hot_vertices(top_degree(db.graph(), 8));
   const QueryResult r = db.query(q);
-  ASSERT_TRUE(r.profile.enabled);
   // The §10 reconciliation identities must survive delegation: a mirror
-  // message is a context on both ends, attributed to its source stage.
-  EXPECT_EQ(r.profile.total_ctx_sent(), r.stats.contexts_sent);
-  EXPECT_EQ(r.profile.total_ctx_received(), r.stats.contexts_sent);
-  EXPECT_EQ(r.profile.total_msgs_sent(), r.stats.data_messages);
-  EXPECT_EQ(r.profile.total_msgs_received(), r.stats.data_messages);
-  for (StageId s = 0; s < r.stats.stages.size(); ++s) {
-    EXPECT_EQ(r.profile.stage_contexts(s), r.stats.stages[s].visits);
-    EXPECT_EQ(r.profile.stage_ctx_sent(s), r.stats.stages[s].remote_out);
-  }
-  // Per-machine §14 summaries reconcile with the engine's load vector.
-  ASSERT_EQ(r.profile.machines.size(), r.stats.machine_contexts.size());
-  std::uint64_t fanouts = 0, expands = 0;
-  for (std::size_t m = 0; m < r.profile.machines.size(); ++m) {
-    EXPECT_EQ(r.profile.machines[m].total_contexts,
-              r.stats.machine_contexts[m]);
-    fanouts += r.profile.machines[m].mirror_fanouts;
-    expands += r.profile.machines[m].mirror_expands;
-  }
-  EXPECT_EQ(fanouts, r.stats.mirror_fanouts);
-  EXPECT_EQ(expands, r.stats.mirror_expands);
+  // message is a context on both ends, attributed to its source stage,
+  // and the per-machine §14 counters fold to the stats.
+  expect_reconciled(r, "tree:6:3 hot mirrors");
   // The text report carries the §14 balance line whenever work ran.
   EXPECT_NE(r.profile.text().find("balance: contexts"), std::string::npos);
 }

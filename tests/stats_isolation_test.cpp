@@ -1,7 +1,7 @@
 // Regression tests locking the per-query stats isolation invariant:
-// every query on a long-lived Database gets fresh NetStats, flow-control,
-// reachability-index, and profile state — counters never bleed from one
-// query into the next. The engine guarantees this by construction (a
+// every query on a long-lived Database gets fresh fabric counters,
+// flow-control, reachability-index, and profile state — counters never
+// bleed from one query into the next. The engine guarantees this by construction (a
 // fresh Network/MachineRuntime set per run); these tests pin it against
 // future refactors that might cache or pool that state.
 //
@@ -15,6 +15,7 @@
 
 #include "api/rpqd.h"
 #include "ldbc/synthetic.h"
+#include "reconcile.h"
 #include "runtime/profile.h"
 
 namespace rpqd {
@@ -88,24 +89,24 @@ TEST(StatsIsolation, ProfileStateDoesNotLeakAcrossQueries) {
   Database db(synthetic::make_chain(12), 3, iso_config());
   const QueryResult prof = db.query(std::string("PROFILE ") + kHeavy);
   ASSERT_TRUE(prof.profile.enabled);
-  const std::uint64_t contexts_first = prof.profile.total_contexts();
+  const std::uint64_t contexts_first = prof.profile.totals().contexts;
   // An unprofiled query in between allocates nothing.
   const std::uint64_t before = profile_allocations();
   EXPECT_FALSE(db.query(kHeavy).profile.enabled);
   EXPECT_EQ(profile_allocations(), before);
   // A second profiled run starts from a zeroed tree, not the first's.
   const QueryResult again = db.query(std::string("PROFILE ") + kHeavy);
-  EXPECT_EQ(again.profile.total_contexts(), contexts_first);
-  EXPECT_EQ(again.profile.total_ctx_sent(), prof.profile.total_ctx_sent());
+  EXPECT_EQ(again.profile.totals().contexts, contexts_first);
+  EXPECT_EQ(again.profile.totals().ctx_sent, prof.profile.totals().ctx_sent);
 }
 
 // ---- concurrent serving (runtime/scheduler.h) -------------------------
 // The isolation bar while queries OVERLAP: per-query stats, profile
 // trees, and credit books must reconcile exactly as if each query ran
-// alone. This doubles as the NetStats aliasing audit regression: every
-// NetStats / peak_queued_bytes counter hangs off the run's own Network
-// (see the audit note in net/network.h), so a heavy neighbour must not
-// bleed into a light query's numbers. The deliberately engine-global
+// alone. This doubles as the counter aliasing audit regression: every
+// NetCounters / peak_queued_bytes counter hangs off the run's own
+// Network (see the note on NetCounters in common/counters.h), so a heavy
+// neighbour must not bleed into a light query's numbers. The deliberately engine-global
 // counters (fault_run_seq_, epoch_seq_ — see runtime/engine.h) are
 // excluded by design and documented there.
 
@@ -149,19 +150,16 @@ TEST(StatsIsolation, OverlappingQueriesReconcileExactly) {
       EXPECT_EQ(got.stats.stages[s].remote_out,
                 solo.stats.stages[s].remote_out);
     }
-    // The profile tree reconciles against the run's OWN fabric counters
-    // even while a neighbour's fabric is live.
-    ASSERT_TRUE(got.profile.enabled);
-    EXPECT_EQ(got.profile.total_ctx_sent(), got.stats.contexts_sent);
-    EXPECT_EQ(got.profile.total_ctx_received(), got.stats.contexts_sent);
-    EXPECT_EQ(got.profile.total_msgs_sent(), got.stats.data_messages);
-    EXPECT_EQ(got.profile.total_contexts(), solo.profile.total_contexts());
+    // The profile tree reconciles against the run's OWN counters even
+    // while a neighbour's fabric is live.
+    expect_reconciled(got, "overlapping");
+    EXPECT_EQ(got.profile.totals().contexts, solo.profile.totals().contexts);
   };
   expect_identical(light, solo_light);
   expect_identical(heavy, solo_heavy);
 
-  // NetStats aliasing audit: the light query's byte high-water mark must
-  // not inherit the heavy neighbour's (aliased counters would equalize).
+  // Aliasing audit: the light query's byte high-water mark must not
+  // inherit the heavy neighbour's (aliased counters would equalize).
   EXPECT_GT(heavy.stats.peak_queued_bytes, 0u);
   EXPECT_LE(light.stats.peak_queued_bytes, heavy.stats.peak_queued_bytes);
   for (const QueryResult* r : {&heavy, &light}) {

@@ -288,9 +288,9 @@ TEST(Termination, BroadcastSkippedWhenUnchangedAndNotForced) {
   d0.set_idle(true);
   d0.maybe_broadcast(net, false);  // first: always sends (state change)
   d0.maybe_broadcast(net, false);  // unchanged, not forced: skipped
-  EXPECT_EQ(net.stats().term_messages.load(), 1u);
+  EXPECT_EQ(net.counters().term_messages, 1u);
   d0.maybe_broadcast(net, true);  // forced: second wave
-  EXPECT_EQ(net.stats().term_messages.load(), 2u);
+  EXPECT_EQ(net.counters().term_messages, 2u);
 }
 
 }  // namespace
