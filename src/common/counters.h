@@ -81,6 +81,9 @@ struct MachineCounters {
   // Skew-aware balancing (DESIGN.md §14); 0 without a hot set.
   std::uint64_t mirror_fanouts = 0;  // hot frames delegated (send side)
   std::uint64_t mirror_expands = 0;  // delegations expanded (recv side)
+  /// Vertices bootstrap handed to stage 0 (§3.2): the alive locals its
+  /// labels admit, or the one start vertex under planner heuristic (i).
+  std::uint64_t seeds = 0;
   /// Frames entered across all stages: the §14 load quantity.
   std::uint64_t contexts = 0;
   std::uint64_t term_rounds = 0;  // §3.4 statuses broadcast
@@ -125,6 +128,7 @@ inline constexpr CounterField<MachineCounters> kMachineCounterFields[] = {
     RPQD_COUNTER(MachineCounters, "flow", flow_overflow_outstanding, kSum),
     RPQD_COUNTER(MachineCounters, "balance", mirror_fanouts, kSum),
     RPQD_COUNTER(MachineCounters, "balance", mirror_expands, kSum),
+    RPQD_COUNTER(MachineCounters, "machines", seeds, kSum),
     RPQD_COUNTER(MachineCounters, "machines", contexts, kSum),
     RPQD_COUNTER(MachineCounters, "machines", term_rounds, kSum),
     RPQD_COUNTER(MachineCounters, "machines", peak_live_contexts, kMax),

@@ -98,6 +98,32 @@ MachineRuntime::MachineRuntime(MachineId id, const PartitionView* partition,
     }
     workers_.push_back(std::move(worker));
   }
+  // §3.2 bootstrap candidates. Heuristic (i): a single-match start lists
+  // only its start vertex, on the owner. owns() is the pure owner
+  // function and claims ids that are not in the graph at all (an
+  // ID(v) = literal beyond the vertex count), so to_local decides.
+  // Otherwise a local whose label stage 0 rejects would fail the first
+  // check of vertex_matches, so it is never listed; tombstoned locals
+  // keep their slot until a merge but are not part of this snapshot.
+  if (plan->single_start) {
+    if (plan->start_vertex != kInvalidVertex &&
+        part_->owns(plan->start_vertex)) {
+      if (const auto lv = part_->to_local(plan->start_vertex)) {
+        seed_candidates_.push_back(*lv);
+      }
+    }
+  } else {
+    const std::vector<LabelId>& labels = plan->stages[0].vlabels;
+    const auto n = static_cast<LocalVertexId>(part_->num_local());
+    for (LocalVertexId lv = 0; lv < n; ++lv) {
+      if (!part_->alive(lv)) continue;
+      if (!labels.empty() && std::find(labels.begin(), labels.end(),
+                                       part_->label(lv)) == labels.end()) {
+        continue;
+      }
+      seed_candidates_.push_back(lv);
+    }
+  }
 }
 
 // --------------------------------------------------------------- matching --
@@ -135,14 +161,21 @@ void MachineRuntime::apply_actions(const StagePlan& sp, LocalVertexId lv,
 
 // -------------------------------------------------------------- execution --
 
-void MachineRuntime::run_context(Worker& w, StageId stage, VertexId vertex,
-                                 Depth depth, std::uint64_t rpid,
-                                 std::vector<Value> slots) {
-  const LocalVertexId lv = part_->require_local(vertex);
-  RunState rs;
-  rs.stack.reserve(plan_->stages.size() + kPreallocatedContextDepth + 16);
-  rs.slots = std::move(slots);
-  rs.saved.reserve(32);
+MachineRuntime::RunState& MachineRuntime::run_state(Worker& w) {
+  while (w.run_states.size() <= w.nesting) {
+    RunState& fresh = w.run_states.emplace_back();
+    fresh.stack.reserve(plan_->stages.size() + kPreallocatedContextDepth + 16);
+    fresh.saved.reserve(32);
+  }
+  RunState& rs = w.run_states[w.nesting];
+  engine_check(rs.stack.empty() && rs.saved.empty(),
+               "run state reused while its traversal is live");
+  return rs;
+}
+
+void MachineRuntime::run_context(Worker& w, RunState& rs, StageId stage,
+                                 LocalVertexId lv, Depth depth,
+                                 std::uint64_t rpid) {
   enter_stage(w, rs, stage, lv, depth, rpid, false);
   while (!rs.stack.empty()) {
     if (halted()) {
@@ -156,20 +189,15 @@ void MachineRuntime::run_context(Worker& w, StageId stage, VertexId vertex,
   }
 }
 
-void MachineRuntime::run_mirror_expand(Worker& w, StageId stage,
-                                       VertexId hot_vertex, Depth depth,
-                                       std::uint64_t rpid,
-                                       std::vector<Value> slots) {
+void MachineRuntime::run_mirror_expand(Worker& w, RunState& rs,
+                                       StageId stage, VertexId hot_vertex,
+                                       Depth depth, std::uint64_t rpid) {
   ++w.counters.mirror_expands;
   const StagePlan& sp = plan_->stages[stage];
   const MirrorSet* mirrors = part_->mirrors();
   engine_check(mirrors != nullptr, "mirror-expand delegation without mirrors");
   const auto row = mirrors->row_of(hot_vertex);
   engine_check(row.has_value(), "mirror-expand for a non-hot vertex");
-  RunState rs;
-  rs.stack.reserve(plan_->stages.size() + kPreallocatedContextDepth + 16);
-  rs.slots = std::move(slots);
-  rs.saved.reserve(32);
   // Enumerate this machine's bucket of the hot vertex's adjacency —
   // exactly the entries whose destination this machine owns, so each one
   // reproduces the enter_stage(hop.to, dst) call the delegator's own
@@ -859,17 +887,18 @@ void MachineRuntime::process_message(Worker& w, Message msg) {
       }
       break;
     }
-    auto& c = contexts[i];
+    const Decoded& c = contexts[i];
+    RunState& rs = run_state(w);
+    rs.slots.assign(c.slots.begin(), c.slots.end());
     if (mirror) {
       // §14 delegation: c.vertex is a hot GLOBAL id — expand this
       // machine's mirror bucket of its adjacency. Never run_context:
       // that would re-enter `stage`, double-counting the hot visit the
       // delegator already performed.
-      run_mirror_expand(w, stage, c.vertex, msg.header.depth, c.rpid,
-                        std::move(c.slots));
+      run_mirror_expand(w, rs, stage, c.vertex, msg.header.depth, c.rpid);
     } else {
-      run_context(w, stage, c.vertex, msg.header.depth, c.rpid,
-                  std::move(c.slots));
+      run_context(w, rs, stage, part_->require_local(c.vertex),
+                  msg.header.depth, c.rpid);
     }
     note_frame_popped(stage, group, msg.header.depth);
   }
@@ -893,21 +922,6 @@ void MachineRuntime::worker_main(unsigned worker_index) {
   Inbox& inbox = net_->inbox(id_);
   const unsigned stride = static_cast<unsigned>(workers_.size());
   w.bootstrap_cursor = worker_index;
-  if (plan_->single_start) {
-    // Heuristic (i): a single-match start skips the scan entirely; only
-    // the owner machine's worker 0 seeds the traversal.
-    w.bootstrap_done = true;
-    // owns() is the pure modulo-hash owner function — it claims
-    // ownership of ids that are not in the graph at all (e.g. a WHERE
-    // ID(v) = literal beyond the vertex count). Only seed vertices that
-    // actually exist in the local partition.
-    if (worker_index == 0 && plan_->start_vertex != kInvalidVertex &&
-        part_->owns(plan_->start_vertex) &&
-        part_->to_local(plan_->start_vertex).has_value()) {
-      run_context(w, 0, plan_->start_vertex, 0, 0,
-                  std::vector<Value>(plan_->num_slots));
-    }
-  }
 
   unsigned idle_iterations = 0;
   while (!done_.load(std::memory_order_acquire)) {
@@ -926,19 +940,16 @@ void MachineRuntime::worker_main(unsigned worker_index) {
       idle_iterations = 0;
       continue;
     }
-    // (ii) Bootstrap the next local vertex.
+    // (ii) Bootstrap the next seed candidate.
     if (!w.bootstrap_done) {
       w.busy.store(true, std::memory_order_seq_cst);
-      if (w.bootstrap_cursor < part_->num_local()) {
-        const LocalVertexId lv =
-            static_cast<LocalVertexId>(w.bootstrap_cursor);
+      if (w.bootstrap_cursor < seed_candidates_.size()) {
+        const LocalVertexId lv = seed_candidates_[w.bootstrap_cursor];
         w.bootstrap_cursor += stride;
-        // Tombstoned locals keep their slot until a merge but are not
-        // part of this snapshot: the scan skips them.
-        if (part_->alive(lv)) {
-          run_context(w, 0, part_->to_global(lv), 0, 0,
-                      std::vector<Value>(plan_->num_slots));
-        }
+        ++w.counters.seeds;
+        RunState& rs = run_state(w);
+        rs.slots.assign(plan_->num_slots, Value{});
+        run_context(w, rs, 0, lv, 0, 0);
       } else {
         w.bootstrap_done = true;
       }

@@ -7,7 +7,9 @@
 //
 //   1. eagerly pick up received messages (deepest depth / latest stage
 //      first — §3.2 messaging priority),
-//   2. otherwise bootstrap the next local vertex into stage 0,
+//   2. otherwise bootstrap the next local vertex that stage 0's labels
+//      admit into stage 0 (every alive local for an unlabelled start;
+//      planner heuristic i seeds only the owned start vertex),
 //   3. otherwise flush partial buffers, participate in the termination
 //      protocol, and exit once the detector reports global termination.
 //
@@ -21,6 +23,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -96,7 +99,9 @@ class MachineRuntime {
   };
 
   /// Per-traversal execution state (the paper's "RPQ context": slots plus
-  /// the per-depth frame stack, preallocated and grown on demand).
+  /// the per-depth frame stack, preallocated and grown on demand). Each
+  /// worker keeps one per pickup nesting level and reuses it for every
+  /// context run at that level; it is empty between runs.
   struct RunState {
     std::vector<Frame> stack;
     std::vector<Value> slots;
@@ -126,14 +131,19 @@ class MachineRuntime {
     unsigned nesting = 0;
     std::atomic<bool> busy{true};
     bool bootstrap_done = false;
-    std::size_t bootstrap_cursor = 0;
+    std::size_t bootstrap_cursor = 0;  // index into seed_candidates_
+    // run_states[k] serves the contexts run at pickup nesting level k. A
+    // deque: a nested process_message may grow it while an outer level's
+    // run still holds a reference to its own element.
+    std::deque<RunState> run_states;
     std::unordered_map<std::uint64_t, OutBuffer> out;
     // Worker-local statistics (merged after the run; lock-free).
     std::vector<std::vector<std::uint64_t>> matches;     // [group][depth]
     std::vector<std::vector<std::uint64_t>> eliminated;  // [group][depth]
     std::vector<std::vector<std::uint64_t>> duplicated;  // [group][depth]
     std::uint64_t rows = 0;
-    // This worker's contexts_discarded / mirror_fanouts / mirror_expands.
+    // This worker's seeds / contexts_discarded / mirror_fanouts /
+    // mirror_expands.
     MachineCounters counters;
     std::vector<std::vector<std::string>> result_rows;
     std::vector<std::uint64_t> stage_visits;  // frames entered per stage
@@ -145,8 +155,13 @@ class MachineRuntime {
   };
 
   // ---- execution ----
-  void run_context(Worker& w, StageId stage, VertexId vertex, Depth depth,
-                   std::uint64_t rpid, std::vector<Value> slots);
+  /// The worker's run state for its current pickup nesting level, grown
+  /// on first use and checked empty.
+  RunState& run_state(Worker& w);
+  /// Runs one context to completion on `rs` (from run_state, slots
+  /// filled by the caller). Leaves `rs` empty, on the halt unwind too.
+  void run_context(Worker& w, RunState& rs, StageId stage, LocalVertexId lv,
+                   Depth depth, std::uint64_t rpid);
   bool enter_stage(Worker& w, RunState& rs, StageId stage, LocalVertexId lv,
                    Depth depth, std::uint64_t rpid, bool from_increment);
   void step(Worker& w, RunState& rs);
@@ -237,9 +252,8 @@ class MachineRuntime {
   /// adjacency for `stage`'s hop and runs each owned destination to
   /// completion (frameless analogue of run_context — it must NOT
   /// re-enter `stage`, whose visit already happened at the delegator).
-  void run_mirror_expand(Worker& w, StageId stage, VertexId hot_vertex,
-                         Depth depth, std::uint64_t rpid,
-                         std::vector<Value> slots);
+  void run_mirror_expand(Worker& w, RunState& rs, StageId stage,
+                         VertexId hot_vertex, Depth depth, std::uint64_t rpid);
 
   MachineId id_;
   const PartitionView* part_;
@@ -256,6 +270,12 @@ class MachineRuntime {
   TerminationDetector detector_;
   std::vector<std::unique_ptr<ReachabilityIndex>> indexes_;
   std::vector<int> stage_group_;  // stage -> rpq index_id, or -1
+  // The alive locals whose label stage 0 admits (every alive local when
+  // it has no label constraint; only the owned start vertex under
+  // heuristic i). Workers stride over it in bootstrap. The pinned
+  // snapshot never changes during the run, so liveness checked here
+  // holds throughout.
+  std::vector<LocalVertexId> seed_candidates_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> done_{false};
 };

@@ -1,6 +1,7 @@
 // Online graph updates with snapshot isolation (DESIGN.md §12): store /
 // snapshot units (batch application, tombstone cascades, atomicity,
-// merge, materialization), the cache-coherence satellites — stale result
+// merge, materialization), bootstrap seeding over appended and
+// tombstoned locals, the cache-coherence satellites — stale result
 // after a mutation (regression), mid-flight invalidation of a
 // single-flight leader, the queued-past-deadline dispatch check — and
 // the update regression corpus (tests/corpus/updates/*.txt), where every
@@ -8,6 +9,7 @@
 // materialized snapshot of the epoch the query pinned.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -19,6 +21,8 @@
 #include "baseline/reference.h"
 #include "graph/store.h"
 #include "graph/update.h"
+#include "ldbc/generator.h"
+#include "ldbc/schema.h"
 #include "ldbc/synthetic.h"
 #include "pgql/parser.h"
 #include "plan/planner.h"
@@ -245,6 +249,93 @@ TEST(GraphStoreTest, WarmResultCacheStaysCoherentAcrossUpdatesAndMerge) {
   const QueryResult merged = db.query(kChainPlus);
   EXPECT_EQ(merged.count, 64u);
   EXPECT_TRUE(merged.stats.result_cache_hit);
+}
+
+// ---- bootstrap seeding (§3.2) -------------------------------------------
+
+/// Alive vertices of `g` that a stage 0 with label alternation `labels`
+/// (empty = any label) admits: what bootstrap must seed.
+std::uint64_t stage_zero_candidates(const Graph& g,
+                                    const std::vector<std::string>& labels) {
+  std::uint64_t n = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (!g.alive(v)) continue;
+    const std::string& name = g.catalog().vertex_label_name(g.label(v));
+    if (labels.empty() ||
+        std::find(labels.begin(), labels.end(), name) != labels.end()) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+TEST(Bootstrap, SeedsOnlyStageZeroCandidates) {
+  ldbc::LdbcConfig cfg;
+  cfg.scale_factor = 0.05;
+  struct Case {
+    const char* text;
+    std::vector<std::string> labels;
+  };
+  const std::vector<Case> cases = {
+      {"SELECT COUNT(*) FROM MATCH (p:Person) -/:knows{1,2}/-> (q)",
+       {ldbc::kPerson}},
+      {"SELECT COUNT(*) FROM MATCH (x:Person|Post) -/:knows|hasCreator+/-> (y)",
+       {ldbc::kPerson, ldbc::kPost}},
+      {"SELECT COUNT(*) FROM MATCH (a) -[:replyOf]-> (b)", {}},
+  };
+  for (const unsigned workers : {1u, 3u}) {
+    SCOPED_TRACE("workers_per_machine=" + std::to_string(workers));
+    EngineConfig ec = small_config();
+    ec.workers_per_machine = workers;
+    Database db(ldbc::generate_ldbc(cfg), 4, ec);
+    const LabelId person = vlabel(db, ldbc::kPerson);
+    std::vector<VertexId> persons;
+    for (VertexId v = 0; v < db.graph().num_vertices(); ++v) {
+      if (db.graph().label(v) == person) persons.push_back(v);
+    }
+    ASSERT_GE(persons.size(), 2u);
+    const VertexId kept = persons[0];
+    const VertexId deleted = persons[1];
+    const VertexId missing =
+        static_cast<VertexId>(db.graph().num_vertices() + 100);
+
+    const auto check = [&](const std::string& where,
+                           std::vector<VertexId> id_starts) {
+      SCOPED_TRACE(where);
+      const auto snap = db.materialize_snapshot(db.graph_epoch());
+      for (const Case& c : cases) {
+        const QueryResult r = db.query(c.text);
+        EXPECT_EQ(r.count, baseline::reference_evaluate(c.text, *snap).count)
+            << c.text;
+        EXPECT_EQ(r.stats.seeds, stage_zero_candidates(*snap, c.labels))
+            << c.text;
+      }
+      for (const VertexId k : id_starts) {
+        const std::string text =
+            "SELECT COUNT(*) FROM MATCH (p) -/:knows+/-> (q) WHERE ID(p) = " +
+            std::to_string(k);
+        const bool exists = k < snap->num_vertices() && snap->alive(k);
+        const QueryResult r = db.query(text);
+        EXPECT_EQ(r.count, baseline::reference_evaluate(text, *snap).count)
+            << text;
+        EXPECT_EQ(r.stats.seeds, exists ? 1u : 0u) << text;
+      }
+    };
+    check("seed graph", {kept, deleted, missing});
+
+    // One Person appended (and wired into `knows`), another tombstoned.
+    UpdateBatch batch;
+    VertexInsert vi;
+    vi.label = person;
+    batch.vertex_inserts.push_back(vi);
+    const auto added = static_cast<VertexId>(db.graph().num_vertices());
+    batch.edge_inserts.push_back({added, kept, elabel(db, ldbc::kKnows)});
+    batch.vertex_deletes.push_back({deleted});
+    db.apply_update(batch);
+    check("after apply_update", {kept, deleted, added, missing});
+    ASSERT_TRUE(db.merge_deltas());
+    check("after merge_deltas", {kept, deleted, added, missing});
+  }
 }
 
 // ---- satellite: stale cached result after a mutation (regression) -------
