@@ -114,6 +114,9 @@ class Database {
   const Graph& graph() const { return partitioned_->global(); }
   const PartitionedGraph& partitioned() const { return *partitioned_; }
   unsigned num_machines() const { return partitioned_->num_machines(); }
+  /// OS threads the engine's persistent worker pool has started: the
+  /// high-water mark of worker and monitor jobs running at once.
+  std::size_t worker_threads() const { return engine_->worker_threads(); }
 
   /// Engine configuration (mutable: flow-control sizes, index toggle...).
   EngineConfig& config() { return engine_->mutable_config(); }

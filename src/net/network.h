@@ -354,7 +354,7 @@ class Network {
   void set_epoch(std::uint32_t epoch);
 
   /// Whether this run's plan arms a crash (plan crash mode and the run
-  /// index matches) — the engine spawns its failure-detector monitor
+  /// index matches) — the engine starts its failure-detector monitor
   /// only when true.
   bool crash_armed() const {
     return plan_.crash_enabled() && plan_.run_index == plan_.crash_run;

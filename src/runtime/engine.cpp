@@ -1,6 +1,7 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <optional>
 #include <thread>
 
@@ -153,41 +154,36 @@ QueryResult DistributedEngine::run(const ExecPlan& plan, EngineConfig cfg,
   rc.attach(&abort, &net);
 
   {
-    // Deadline / failure-detector monitor: only spawned when something
-    // can actually fire (a deadline is set, or this run arms a crash).
-    std::atomic<bool> run_done{false};
-    std::thread monitor;
-    if (cfg.query_deadline_ms > 0 || net.crash_armed()) {
-      monitor = std::thread([&] {
-        while (!run_done.load(std::memory_order_acquire)) {
-          if (cfg.query_deadline_ms > 0 &&
-              timer.elapsed_ms() >
-                  static_cast<double>(cfg.query_deadline_ms) &&
-              abort.request(AbortReason::kDeadline)) {
-            net.broadcast_abort(AbortReason::kDeadline);
-          }
-          // Simulated failure detector: a machine whose crash tick fired
-          // stops participating; the survivors must not hang on it.
-          if (net.any_crashed() &&
-              abort.request(AbortReason::kMachineFailure)) {
-            net.broadcast_abort(AbortReason::kMachineFailure);
-          }
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-      });
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(num_machines) *
-                    cfg.workers_per_machine);
-    for (unsigned m = 0; m < num_machines; ++m) {
-      for (unsigned w = 0; w < cfg.workers_per_machine; ++w) {
-        threads.emplace_back(
-            [&machines, m, w] { machines[m]->worker_main(w); });
+    // The run's jobs start at once on the engine's pool: one per
+    // (machine, worker), plus the deadline / failure-detector monitor when
+    // something can actually fire (a deadline is set, or this run arms a
+    // crash). The monitor polls until the last worker has returned.
+    const unsigned workers_per_machine = cfg.workers_per_machine;
+    const std::size_t num_workers =
+        static_cast<std::size_t>(num_machines) * workers_per_machine;
+    const bool monitored = cfg.query_deadline_ms > 0 || net.crash_armed();
+    std::atomic<std::size_t> workers_left{num_workers};
+    pool_.run(num_workers + (monitored ? 1 : 0), [&](std::size_t job) {
+      if (job < num_workers) {
+        machines[job / workers_per_machine]->worker_main(
+            static_cast<unsigned>(job % workers_per_machine));
+        workers_left.fetch_sub(1);
+        return;
       }
-    }
-    for (auto& t : threads) t.join();
-    run_done.store(true, std::memory_order_release);
-    if (monitor.joinable()) monitor.join();
+      while (workers_left.load() > 0) {
+        if (cfg.query_deadline_ms > 0 &&
+            timer.elapsed_ms() > static_cast<double>(cfg.query_deadline_ms) &&
+            abort.request(AbortReason::kDeadline)) {
+          net.broadcast_abort(AbortReason::kDeadline);
+        }
+        // Simulated failure detector: a machine whose crash tick fired
+        // stops participating; the survivors must not hang on it.
+        if (net.any_crashed() && abort.request(AbortReason::kMachineFailure)) {
+          net.broadcast_abort(AbortReason::kMachineFailure);
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    });
   }
 
   rc.detach();

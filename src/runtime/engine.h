@@ -1,6 +1,6 @@
 // The distributed query engine: compiles PGQL text and runs the execution
-// plan across the simulated cluster, one MachineRuntime (plus worker
-// threads) per machine.
+// plan across the simulated cluster, one MachineRuntime per machine whose
+// workers run on the engine's persistent thread pool.
 #pragma once
 
 #include <atomic>
@@ -16,6 +16,7 @@
 #include "plan/plan.h"
 #include "runtime/profile.h"
 #include "runtime/stats.h"
+#include "runtime/worker_pool.h"
 
 namespace rpqd {
 
@@ -78,7 +79,7 @@ class RunControl {
 /// prefix on the prepared text profiles every run().
 class PreparedQuery {
  public:
-  /// Runs on the caller's thread against the current snapshot.
+  /// Runs against the current snapshot; blocks the caller until done.
   QueryResult run();
   const ExecPlan& plan() const { return *plan_; }
   const std::string& explain() const { return plan_->explain; }
@@ -109,13 +110,16 @@ class DistributedEngine {
   /// Compiles a query and returns its EXPLAIN text without running it.
   std::string explain(std::string_view pgql) const;
 
-  /// The one execution entry. Runs `plan` on the calling thread under
-  /// the per-query `cfg` (profiling, credit partition share, sliced
-  /// budgets) against `snapshot`, the graph version the caller pinned at
+  /// The one execution entry. Runs `plan` under the per-query `cfg`
+  /// (profiling, credit partition share, sliced budgets) against
+  /// `snapshot`, the graph version the caller pinned at
   /// admission (DESIGN.md §12), so a cached entry admitted for that
   /// epoch and the execution it may lead describe the same graph. `rc`
   /// is registered for the run's duration, for targeted cancellation and
-  /// for cancel_all.
+  /// for cancel_all. Each (machine, worker) pair, and the deadline /
+  /// crash monitor when one can fire, runs as a job on the engine's
+  /// worker pool; the caller blocks until every job has returned, then
+  /// merges the per-machine results on its own thread.
   QueryResult run(const ExecPlan& plan, EngineConfig cfg, RunControl& rc,
                   std::shared_ptr<const GraphSnapshot> snapshot);
 
@@ -155,6 +159,10 @@ class DistributedEngine {
     fault_run_seq_.store(0, std::memory_order_relaxed);
   }
 
+  /// OS threads the worker pool has started: the high-water mark of
+  /// concurrently running worker and monitor jobs across all runs.
+  std::size_t worker_threads() const { return pool_.size(); }
+
  private:
   std::shared_ptr<const PartitionedGraph> graph_;
   // Current graph snapshot (RCU-style): swapped by install_snapshot,
@@ -181,6 +189,9 @@ class DistributedEngine {
   // per run, never aliasing per-query *measurements*.
   std::atomic<std::uint64_t> fault_run_seq_{0};
   std::atomic<std::uint32_t> epoch_seq_{0};
+  // Persistent worker threads shared by every run (DESIGN.md §5). Last
+  // member, so its threads are joined before anything else is torn down.
+  WorkerPool pool_;
 };
 
 }  // namespace rpqd

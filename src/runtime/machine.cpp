@@ -102,9 +102,11 @@ MachineRuntime::MachineRuntime(MachineId id, const PartitionView* partition,
   // only its start vertex, on the owner. owns() is the pure owner
   // function and claims ids that are not in the graph at all (an
   // ID(v) = literal beyond the vertex count), so to_local decides.
-  // Otherwise a local whose label stage 0 rejects would fail the first
-  // check of vertex_matches, so it is never listed; tombstoned locals
-  // keep their slot until a merge but are not part of this snapshot.
+  // Otherwise the list holds the alive locals that pass stage 0's full
+  // vertex match (labels and filters) under the empty slots bootstrap
+  // hands enter_stage, so a rejected local is never seeded; tombstoned
+  // locals keep their slot until a merge but are not part of this
+  // snapshot.
   if (plan->single_start) {
     if (plan->start_vertex != kInvalidVertex &&
         part_->owns(plan->start_vertex)) {
@@ -113,15 +115,12 @@ MachineRuntime::MachineRuntime(MachineId id, const PartitionView* partition,
       }
     }
   } else {
-    const std::vector<LabelId>& labels = plan->stages[0].vlabels;
+    const std::vector<Value> slots(plan->num_slots, Value{});
     const auto n = static_cast<LocalVertexId>(part_->num_local());
     for (LocalVertexId lv = 0; lv < n; ++lv) {
-      if (!part_->alive(lv)) continue;
-      if (!labels.empty() && std::find(labels.begin(), labels.end(),
-                                       part_->label(lv)) == labels.end()) {
-        continue;
+      if (part_->alive(lv) && vertex_matches(plan->stages[0], lv, slots)) {
+        seed_candidates_.push_back(lv);
       }
-      seed_candidates_.push_back(lv);
     }
   }
 }

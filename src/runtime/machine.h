@@ -2,14 +2,16 @@
 //
 // A MachineRuntime owns: its graph partition, the flow-control state, the
 // reachability-index slices of every RPQ control stage, the termination
-// detector, and per-worker execution state. The engine spawns
-// `workers_per_machine` threads per machine, each running worker_main():
+// detector, and per-worker execution state. For each run the engine
+// hands `workers_per_machine` jobs per machine to its persistent worker
+// pool; each job holds a dedicated pool thread for the whole run and runs
+// worker_main():
 //
 //   1. eagerly pick up received messages (deepest depth / latest stage
 //      first — §3.2 messaging priority),
-//   2. otherwise bootstrap the next local vertex that stage 0's labels
-//      admit into stage 0 (every alive local for an unlabelled start;
-//      planner heuristic i seeds only the owned start vertex),
+//   2. otherwise bootstrap the next local vertex that passes stage 0's
+//      vertex match (labels and filters) into stage 0 (planner
+//      heuristic i seeds only the owned start vertex),
 //   3. otherwise flush partial buffers, participate in the termination
 //      protocol, and exit once the detector reports global termination.
 //
@@ -270,11 +272,10 @@ class MachineRuntime {
   TerminationDetector detector_;
   std::vector<std::unique_ptr<ReachabilityIndex>> indexes_;
   std::vector<int> stage_group_;  // stage -> rpq index_id, or -1
-  // The alive locals whose label stage 0 admits (every alive local when
-  // it has no label constraint; only the owned start vertex under
-  // heuristic i). Workers stride over it in bootstrap. The pinned
-  // snapshot never changes during the run, so liveness checked here
-  // holds throughout.
+  // The alive locals that pass stage 0's vertex match (only the owned
+  // start vertex under heuristic i). Workers stride over it in
+  // bootstrap. The pinned snapshot never changes during the run, so
+  // liveness and properties checked here hold throughout.
   std::vector<LocalVertexId> seed_candidates_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> done_{false};

@@ -298,6 +298,9 @@ TEST(Bootstrap, SeedsOnlyStageZeroCandidates) {
     const VertexId deleted = persons[1];
     const VertexId missing =
         static_cast<VertexId>(db.graph().num_vertices() + 100);
+    const auto id_prop = db.graph().catalog().find_property(ldbc::kIdProp);
+    ASSERT_TRUE(id_prop.has_value());
+    const std::int64_t kept_id = as_int(db.graph().property(kept, *id_prop));
 
     const auto check = [&](const std::string& where,
                            std::vector<VertexId> id_starts) {
@@ -320,6 +323,22 @@ TEST(Bootstrap, SeedsOnlyStageZeroCandidates) {
             << text;
         EXPECT_EQ(r.stats.seeds, exists ? 1u : 0u) << text;
       }
+      // Stage 0's property filter and a label missing from the catalog
+      // (a constant-false filter) are part of its vertex match too: the
+      // first seeds only the one Person with that id, the second none.
+      const std::string by_property =
+          "SELECT COUNT(*) FROM MATCH (p:Person) -/:knows+/-> (q) "
+          "WHERE p.id = " +
+          std::to_string(kept_id);
+      const QueryResult r = db.query(by_property);
+      EXPECT_EQ(r.count, baseline::reference_evaluate(by_property, *snap).count)
+          << by_property;
+      EXPECT_EQ(r.stats.seeds, 1u) << by_property;
+      const std::string missing_label =
+          "SELECT COUNT(*) FROM MATCH (a:Missing) -/:knows+/-> (b)";
+      const QueryResult none = db.query(missing_label);
+      EXPECT_EQ(none.count, 0u);
+      EXPECT_EQ(none.stats.seeds, 0u);
     };
     check("seed graph", {kept, deleted, missing});
 
