@@ -4,7 +4,6 @@
 #include <bit>
 #include <new>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "common/error.h"
@@ -28,11 +27,6 @@ constexpr std::uint64_t ctrl_ready(LocalVertexId dst) {
 // protocol double-insert free.
 constexpr std::size_t kProbeWindow = 16;
 
-constexpr std::uint64_t slot_hash(LocalVertexId dst, std::uint64_t rpid) {
-  return mix64(rpid ^ (static_cast<std::uint64_t>(dst) *
-                       0x9e3779b97f4a7c15ULL));
-}
-
 constexpr std::size_t round_up64(std::size_t bytes) {
   return (bytes + 63) & ~std::size_t{63};
 }
@@ -45,6 +39,12 @@ inline void spin_pause(unsigned& spins) {
 }
 
 }  // namespace
+
+std::uint64_t ReachabilityIndex::slot_hash(LocalVertexId dst,
+                                           std::uint64_t rpid) {
+  return mix64(rpid ^ (static_cast<std::uint64_t>(dst) *
+                       0x9e3779b97f4a7c15ULL));
+}
 
 ReachabilityIndex::ReachabilityIndex(std::size_t num_local_vertices,
                                      bool preallocate, unsigned num_shards)
@@ -228,31 +228,44 @@ std::optional<Depth> ReachabilityIndex::lookup(LocalVertexId dst,
 }
 
 std::uint64_t ReachabilityIndex::duplicate_entries() const {
-  struct KeyHash {
-    std::size_t operator()(const std::pair<std::uint64_t, std::uint64_t>& k)
-        const {
-      return static_cast<std::size_t>(mix64(k.first ^ mix64(k.second)));
-    }
-  };
-  std::unordered_set<std::pair<std::uint64_t, std::uint64_t>, KeyHash> keys;
   std::uint64_t duplicates = 0;
   for (const auto& shard : shards_) {
-    const Segment* seg = shard.head.load(std::memory_order_acquire);
-    while (seg != nullptr) {
+    if (shard.entries.load(std::memory_order_relaxed) == 0) continue;
+    const Segment* head = shard.head.load(std::memory_order_acquire);
+    for (const Segment* seg = head; seg != nullptr;
+         seg = seg->next.load(std::memory_order_acquire)) {
       const Entry* entries = seg->entries();
       for (std::size_t i = 0; i < seg->capacity; ++i) {
-        const std::uint64_t ctrl = entries[i].ctrl.load(
-            std::memory_order_acquire);
+        const std::uint64_t ctrl =
+            entries[i].ctrl.load(std::memory_order_acquire);
         if (ctrl == kCtrlEmpty || ctrl == kCtrlBusy) continue;
-        const std::uint64_t dst = ctrl >> 2;  // inverse of ctrl_ready
         const std::uint64_t rpid =
             entries[i].rpid.load(std::memory_order_relaxed);
-        if (!keys.emplace(dst, rpid).second) ++duplicates;
+        if (first_match(head, ctrl, rpid) != &entries[i]) ++duplicates;
       }
-      seg = seg->next.load(std::memory_order_acquire);
     }
   }
   return duplicates;
+}
+
+const ReachabilityIndex::Entry* ReachabilityIndex::first_match(
+    const Segment* head, std::uint64_t ready, std::uint64_t rpid) {
+  const std::uint64_t hash = slot_hash(
+      static_cast<LocalVertexId>(ready >> 2), rpid);  // inverse of ctrl_ready
+  for (const Segment* seg = head; seg != nullptr;
+       seg = seg->next.load(std::memory_order_acquire)) {
+    const Entry* entries = seg->entries();
+    const std::size_t mask = seg->capacity - 1;
+    // Not stopping at an empty slot: a planted copy past one still counts.
+    for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
+      const Entry& entry = entries[(hash + probe) & mask];
+      if (entry.ctrl.load(std::memory_order_acquire) == ready &&
+          entry.rpid.load(std::memory_order_relaxed) == rpid) {
+        return &entry;
+      }
+    }
+  }
+  return nullptr;
 }
 
 ReachIndexStats ReachabilityIndex::stats() const {

@@ -88,10 +88,13 @@ class ReachabilityIndex {
     return entries * 12;
   }
 
-  /// Post-run audit: number of (dst, rpid) keys stored more than once
-  /// across all segments. The CAS claim protocol guarantees 0; the
-  /// differential harness asserts it after every adversarial run. Full
-  /// scan — call only when the index is quiescent.
+  /// Post-run audit: number of surplus copies of (dst, rpid) keys across
+  /// all segments (a key stored k times counts k - 1). The CAS claim
+  /// protocol guarantees 0; the engine reports it after every run and the
+  /// tests assert it. Allocation-free: each occupied slot re-walks its
+  /// key's probe sequence from the shard head and counts as a duplicate
+  /// unless it is the first slot there holding the key. Shards with no
+  /// entries are skipped. Call only when the index is quiescent.
   std::uint64_t duplicate_entries() const;
 
  private:
@@ -126,6 +129,14 @@ class ReachabilityIndex {
     std::atomic<std::uint64_t> reserved_bytes{0};
   };
 
+  friend class ReachabilityIndexTestPeer;
+
+  /// Start of the probe sequence of (dst, rpid) in every segment.
+  static std::uint64_t slot_hash(LocalVertexId dst, std::uint64_t rpid);
+  /// The first slot on the probe sequence of (ready >> 2, rpid), walking
+  /// every segment from `head`, that holds that key; null when none does.
+  static const Entry* first_match(const Segment* head, std::uint64_t ready,
+                                  std::uint64_t rpid);
   Segment* allocate_segment(std::size_t capacity, bool on_hot_path,
                             Shard& shard);
   Segment* next_segment(Segment* seg, Shard& shard);

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <optional>
-#include <thread>
 
 #include "common/stopwatch.h"
 #include "pgql/parser.h"
@@ -157,31 +158,55 @@ QueryResult DistributedEngine::run(const ExecPlan& plan, EngineConfig cfg,
     // The run's jobs start at once on the engine's pool: one per
     // (machine, worker), plus the deadline / failure-detector monitor when
     // something can actually fire (a deadline is set, or this run arms a
-    // crash). The monitor polls until the last worker has returned.
+    // crash). The monitor sleeps until the deadline, waking every 100 µs
+    // only to poll an armed crash, and the last worker to return wakes it.
     const unsigned workers_per_machine = cfg.workers_per_machine;
     const std::size_t num_workers =
         static_cast<std::size_t>(num_machines) * workers_per_machine;
-    const bool monitored = cfg.query_deadline_ms > 0 || net.crash_armed();
-    std::atomic<std::size_t> workers_left{num_workers};
+    const bool crash_armed = net.crash_armed();
+    const bool monitored = cfg.query_deadline_ms > 0 || crash_armed;
+    std::mutex monitor_mutex;
+    std::condition_variable monitor_wake;
+    std::size_t workers_left = num_workers;  // guarded by monitor_mutex
     pool_.run(num_workers + (monitored ? 1 : 0), [&](std::size_t job) {
       if (job < num_workers) {
         machines[job / workers_per_machine]->worker_main(
             static_cast<unsigned>(job % workers_per_machine));
-        workers_left.fetch_sub(1);
+        std::lock_guard lock(monitor_mutex);
+        if (--workers_left == 0) monitor_wake.notify_one();
         return;
       }
-      while (workers_left.load() > 0) {
-        if (cfg.query_deadline_ms > 0 &&
-            timer.elapsed_ms() > static_cast<double>(cfg.query_deadline_ms) &&
-            abort.request(AbortReason::kDeadline)) {
-          net.broadcast_abort(AbortReason::kDeadline);
+      using Clock = std::chrono::steady_clock;
+      auto deadline = Clock::time_point::max();
+      if (cfg.query_deadline_ms > 0) {
+        deadline = Clock::now() +
+                   std::chrono::duration_cast<Clock::duration>(
+                       std::chrono::duration<double, std::milli>(
+                           static_cast<double>(cfg.query_deadline_ms) -
+                           timer.elapsed_ms()));
+      }
+      const auto finished = [&workers_left] { return workers_left == 0; };
+      std::unique_lock lock(monitor_mutex);
+      while (!finished()) {
+        const auto now = Clock::now();
+        if (now >= deadline) {
+          deadline = Clock::time_point::max();  // fires once
+          if (abort.request(AbortReason::kDeadline)) {
+            net.broadcast_abort(AbortReason::kDeadline);
+          }
         }
         // Simulated failure detector: a machine whose crash tick fired
         // stops participating; the survivors must not hang on it.
         if (net.any_crashed() && abort.request(AbortReason::kMachineFailure)) {
           net.broadcast_abort(AbortReason::kMachineFailure);
         }
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        const auto poll = now + std::chrono::microseconds(100);
+        const auto wake = crash_armed ? std::min(deadline, poll) : deadline;
+        if (wake == Clock::time_point::max()) {
+          monitor_wake.wait(lock, finished);
+        } else {
+          monitor_wake.wait_until(lock, wake, finished);
+        }
       }
     });
   }

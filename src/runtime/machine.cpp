@@ -56,7 +56,7 @@ MachineRuntime::MachineRuntime(MachineId id, const PartitionView* partition,
       abort_(abort),
       detector_(id, network->num_machines(),
                 static_cast<unsigned>(plan->stages.size()),
-                plan->num_rpq_indexes) {
+                plan->num_rpq_indexes, config->workers_per_machine) {
   std::vector<bool> is_rpq(plan->stages.size(), false);
   stage_group_.assign(plan->stages.size(), -1);
   for (const auto& sp : plan->stages) {
@@ -84,6 +84,7 @@ MachineRuntime::MachineRuntime(MachineId id, const PartitionView* partition,
   for (unsigned w = 0; w < config->workers_per_machine; ++w) {
     auto worker = std::make_unique<Worker>();
     worker->id = static_cast<WorkerId>(w);
+    worker->term = &detector_.lane(w);
     worker->matches.resize(plan->num_rpq_indexes);
     worker->eliminated.resize(plan->num_rpq_indexes);
     worker->duplicated.resize(plan->num_rpq_indexes);
@@ -180,7 +181,7 @@ void MachineRuntime::run_context(Worker& w, RunState& rs, StageId stage,
     if (halted()) {
       // The halt poll of the traversal loop itself: unwind the partial
       // walk (keeping save-stack and detector balanced) and drop it.
-      unwind(rs);
+      unwind(w, rs);
       ++w.counters.contexts_discarded;
       break;
     }
@@ -230,7 +231,7 @@ void MachineRuntime::run_mirror_expand(Worker& w, RunState& rs,
                         rpid, false)) {
           while (!rs.stack.empty()) {
             if (halted()) {
-              unwind(rs);
+              unwind(w, rs);
               ++w.counters.contexts_discarded;
               return false;
             }
@@ -357,7 +358,7 @@ bool MachineRuntime::enter_stage(Worker& w, RunState& rs, StageId stage,
     f.saved_count = 0;
     ++w.stage_visits[stage];
     if (w.prof) ++w.prof->row(stage, depth).contexts;
-    note_frame_pushed(stage, group, depth);
+    note_frame_pushed(w, stage, group, depth);
     stack.push_back(f);
     return true;
   }
@@ -379,12 +380,12 @@ bool MachineRuntime::enter_stage(Worker& w, RunState& rs, StageId stage,
   apply_actions(sp, lv, slots);
   ++w.stage_visits[stage];
   if (w.prof) ++w.prof->row(stage, depth).contexts;
-  note_frame_pushed(stage, group_of(stage), depth);
+  note_frame_pushed(w, stage, group_of(stage), depth);
   stack.push_back(f);
   return true;
 }
 
-void MachineRuntime::pop_frame(RunState& rs) {
+void MachineRuntime::pop_frame(Worker& w, RunState& rs) {
   const Frame& f = rs.stack.back();
   engine_check(rs.saved.size() == f.saved_base + f.saved_count,
                "slot save-stack out of sync with frame stack");
@@ -394,12 +395,12 @@ void MachineRuntime::pop_frame(RunState& rs) {
     rs.slots[slot] = value;
   }
   rs.saved.resize(f.saved_base);
-  note_frame_popped(f.stage, group_of(f.stage), f.depth);
+  note_frame_popped(w, f.stage, group_of(f.stage), f.depth);
   rs.stack.pop_back();
 }
 
-void MachineRuntime::unwind(RunState& rs) {
-  while (!rs.stack.empty()) pop_frame(rs);
+void MachineRuntime::unwind(Worker& w, RunState& rs) {
+  while (!rs.stack.empty()) pop_frame(w, rs);
 }
 
 bool MachineRuntime::next_neighbor(Frame& f, const StagePlan& sp,
@@ -545,7 +546,7 @@ void MachineRuntime::step(Worker& w, RunState& rs) {
                   false);
       return;
     }
-    pop_frame(rs);
+    pop_frame(w, rs);
     return;
   }
 
@@ -561,7 +562,7 @@ void MachineRuntime::step(Worker& w, RunState& rs) {
       std::size_t idx = 0;
       const ViewAdjacency* adj = nullptr;
       if (!next_neighbor(f, sp, idx, &adj)) {
-        pop_frame(rs);
+        pop_frame(w, rs);
         return;
       }
       if (!sp.hop.edge_filters.empty() || !sp.hop.eprop_stores.empty()) {
@@ -592,7 +593,7 @@ void MachineRuntime::step(Worker& w, RunState& rs) {
     }
     case HopKind::kEdge: {
       if (f.step != 0) {
-        pop_frame(rs);
+        pop_frame(w, rs);
         return;
       }
       f.step = 1;
@@ -614,7 +615,7 @@ void MachineRuntime::step(Worker& w, RunState& rs) {
     }
     case HopKind::kInspect: {
       if (f.step != 0) {
-        pop_frame(rs);
+        pop_frame(w, rs);
         return;
       }
       f.step = 1;
@@ -634,7 +635,7 @@ void MachineRuntime::step(Worker& w, RunState& rs) {
     }
     case HopKind::kTransition: {
       if (f.step != 0) {
-        pop_frame(rs);
+        pop_frame(w, rs);
         return;
       }
       f.step = 1;
@@ -644,7 +645,7 @@ void MachineRuntime::step(Worker& w, RunState& rs) {
     }
     case HopKind::kOutput: {
       output_row(w, f, slots);
-      pop_frame(rs);
+      pop_frame(w, rs);
       return;
     }
   }
@@ -727,7 +728,7 @@ void MachineRuntime::send_to(Worker& w, MachineId dest, StageId stage,
   BinaryWriter writer(buf.payload);
   encode_context(writer, buf.codec, vertex, rpid, slots);
   ++buf.count;
-  detector_.note_sent(stage, group_of(stage), depth, 1);
+  w.term->note_sent(stage, group_of(stage), depth, 1);
   if (w.prof) ++w.prof->row(stage, depth).ctx_sent;
   if (buf.payload.size() >= config_->buffer_bytes) {
     OutBuffer full = std::move(buf);
@@ -862,7 +863,7 @@ void MachineRuntime::process_message(Worker& w, Message msg) {
   // The contexts are pending local work until their runs complete: keep
   // them visible to the termination detector as active frames.
   for (std::uint32_t i = 0; i < msg.header.count; ++i) {
-    note_frame_pushed(stage, group, msg.header.depth);
+    note_frame_pushed(w, stage, group, msg.header.depth);
   }
   Message done;
   done.header.type = MessageType::kDone;
@@ -881,7 +882,7 @@ void MachineRuntime::process_message(Worker& w, Message msg) {
       // credit, so the rest of the batch is simply discarded (balancing
       // the frames pushed above).
       for (std::size_t j = i; j < contexts.size(); ++j) {
-        note_frame_popped(stage, group, msg.header.depth);
+        note_frame_popped(w, stage, group, msg.header.depth);
         ++w.counters.contexts_discarded;
       }
       break;
@@ -899,9 +900,9 @@ void MachineRuntime::process_message(Worker& w, Message msg) {
       run_context(w, rs, stage, part_->require_local(c.vertex),
                   msg.header.depth, c.rpid);
     }
-    note_frame_popped(stage, group, msg.header.depth);
+    note_frame_popped(w, stage, group, msg.header.depth);
   }
-  detector_.note_processed(stage, group, msg.header.depth, msg.header.count);
+  w.term->note_processed(stage, group, msg.header.depth, msg.header.count);
   --w.nesting;
 }
 
@@ -1031,8 +1032,9 @@ void MachineRuntime::trip_abort(AbortReason reason) {
   }
 }
 
-void MachineRuntime::note_frame_pushed(StageId stage, int group, Depth depth) {
-  detector_.frame_pushed(stage, group, depth);
+void MachineRuntime::note_frame_pushed(Worker& w, StageId stage, int group,
+                                       Depth depth) {
+  w.term->frame_pushed(stage, group, depth);
   const std::uint64_t live =
       live_frames_.fetch_add(1, std::memory_order_relaxed) + 1;
   std::uint64_t peak = peak_live_frames_.load(std::memory_order_relaxed);
@@ -1044,8 +1046,9 @@ void MachineRuntime::note_frame_pushed(StageId stage, int group, Depth depth) {
   }
 }
 
-void MachineRuntime::note_frame_popped(StageId stage, int group, Depth depth) {
-  detector_.frame_popped(stage, group, depth);
+void MachineRuntime::note_frame_popped(Worker& w, StageId stage, int group,
+                                       Depth depth) {
+  w.term->frame_popped(stage, group, depth);
   live_frames_.fetch_sub(1, std::memory_order_relaxed);
 }
 

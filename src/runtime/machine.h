@@ -132,6 +132,8 @@ class MachineRuntime {
     std::uint64_t rpid_seq = 0;
     unsigned nesting = 0;
     std::atomic<bool> busy{true};
+    // This worker's §3.4 counter lane; only this worker writes it.
+    TerminationDetector::Lane* term = nullptr;
     bool bootstrap_done = false;
     std::size_t bootstrap_cursor = 0;  // index into seed_candidates_
     // run_states[k] serves the contexts run at pickup nesting level k. A
@@ -173,7 +175,7 @@ class MachineRuntime {
                                 const std::vector<LabelId>& labels,
                                 VertexId target) const;
   void output_row(Worker& w, const Frame& f, const std::vector<Value>& slots);
-  void pop_frame(RunState& rs);
+  void pop_frame(Worker& w, RunState& rs);
 
   // ---- messaging ----
   void send_remote(Worker& w, StageId stage, VertexId vertex, Depth depth,
@@ -209,15 +211,15 @@ class MachineRuntime {
   /// controller and broadcasts the kAbort control message.
   void trip_abort(AbortReason reason);
   /// Unwinds a halted traversal (balances slot shadows + detector).
-  void unwind(RunState& rs);
+  void unwind(Worker& w, RunState& rs);
   /// Post-halt reclamation: returns this worker's out-buffer credits
   /// and (unless this machine crashed) replies DONE for every
   /// still-queued inbound batch.
   void abort_drain(Worker& w);
   // Frame accounting around the termination detector: live/peak counts
   // feed the max_live_contexts budget and the leak audit.
-  void note_frame_pushed(StageId stage, int group, Depth depth);
-  void note_frame_popped(StageId stage, int group, Depth depth);
+  void note_frame_pushed(Worker& w, StageId stage, int group, Depth depth);
+  void note_frame_popped(Worker& w, StageId stage, int group, Depth depth);
 
   // ---- idle / termination driving ----
   bool machine_idle() const;

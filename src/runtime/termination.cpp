@@ -9,70 +9,78 @@
 
 namespace rpqd {
 
+TerminationDetector::Lane::Lane(unsigned num_stages, unsigned num_groups)
+    : stages_((num_stages + 1) / 2), groups_(num_groups) {}
+
+TerminationDetector::Lane::~Lane() {
+  for (auto& g : groups_) {
+    for (auto& chunk : g.chunks) delete[] chunk.load(std::memory_order_relaxed);
+  }
+}
+
+TerminationDetector::Lane::Counters& TerminationDetector::Lane::depth_counters(
+    int group, Depth depth, Field f) {
+  Depths& g = groups_[static_cast<unsigned>(group)];
+  const unsigned k = chunk_of(depth);
+  if (depth >= g.extent.load(std::memory_order_relaxed)) {
+    engine_check(f != kPopped, "frame_popped without matching push");
+    engine_check(depth != kUnboundedDepth, "termination depth overflow");
+    for (unsigned c = 0; c <= k; ++c) {
+      if (g.chunks[c].load(std::memory_order_relaxed) == nullptr) {
+        g.chunks[c].store(new Line[chunk_size(c) / 2],
+                          std::memory_order_release);
+      }
+    }
+    g.extent.store(depth + 1, std::memory_order_release);
+  }
+  return slot(g.chunks[k].load(std::memory_order_relaxed),
+              depth - chunk_base(k));
+}
+
+void TerminationDetector::Lane::frame_popped(StageId stage, int group,
+                                             Depth depth) {
+  const auto pop = [](Counters& c) {
+    engine_check(c[kPopped].load(std::memory_order_relaxed) <
+                     c[kPushed].load(std::memory_order_relaxed),
+                 "frame_popped without matching push");
+    bump(c[kPopped], 1);
+  };
+  pop(slot(stages_.data(), stage));
+  if (group >= 0) pop(depth_counters(group, depth, kPopped));
+}
+
+template <class Fn>
+void TerminationDetector::Lane::for_each_depth(unsigned group, Depth extent,
+                                               Fn&& fn) const {
+  const Depths& g = groups_[group];
+  for (unsigned k = 0; k < kChunks && chunk_base(k) < extent; ++k) {
+    const Line* chunk = g.chunks[k].load(std::memory_order_acquire);
+    const Depth base = chunk_base(k);
+    const auto end = static_cast<Depth>(
+        std::min<std::uint64_t>(extent, base + chunk_size(k)));
+    for (Depth d = base; d < end; ++d) fn(d, slot(chunk, d - base));
+  }
+}
+
 TerminationDetector::TerminationDetector(MachineId self,
                                          unsigned num_machines,
                                          unsigned num_stages,
-                                         unsigned num_groups)
+                                         unsigned num_groups,
+                                         unsigned num_lanes)
     : self_(self),
       num_machines_(num_machines),
       num_stages_(num_stages),
       num_groups_(num_groups),
-      stage_sent_(num_stages),
-      stage_processed_(num_stages),
-      stage_active_(num_stages),
-      group_counters_(num_groups),
       last_(num_machines),
       prev_(num_machines) {
-  for (auto& a : stage_sent_) a.store(0, std::memory_order_relaxed);
-  for (auto& a : stage_processed_) a.store(0, std::memory_order_relaxed);
-  for (auto& a : stage_active_) a.store(0, std::memory_order_relaxed);
-}
-
-void TerminationDetector::note_sent(StageId stage, int group, Depth depth,
-                                    std::uint64_t n) {
-  stage_sent_[stage].fetch_add(n, std::memory_order_relaxed);
-  if (group >= 0) {
-    std::lock_guard lock(group_mutex_);
-    auto& depths = group_counters_[static_cast<unsigned>(group)];
-    if (depth >= depths.size()) depths.resize(depth + 1, {0, 0, 0});
-    depths[depth][0] += n;
+  for (unsigned w = 0; w < num_lanes; ++w) {
+    lanes_.push_back(std::make_unique<Lane>(num_stages, num_groups));
   }
 }
 
-void TerminationDetector::note_processed(StageId stage, int group, Depth depth,
-                                         std::uint64_t n) {
-  stage_processed_[stage].fetch_add(n, std::memory_order_relaxed);
-  if (group >= 0) {
-    std::lock_guard lock(group_mutex_);
-    auto& depths = group_counters_[static_cast<unsigned>(group)];
-    if (depth >= depths.size()) depths.resize(depth + 1, {0, 0, 0});
-    depths[depth][1] += n;
-  }
-}
-
-void TerminationDetector::frame_pushed(StageId stage, int group, Depth depth) {
-  stage_active_[stage].fetch_add(1, std::memory_order_seq_cst);
-  if (group >= 0) {
-    std::lock_guard lock(group_mutex_);
-    auto& depths = group_counters_[static_cast<unsigned>(group)];
-    if (depth >= depths.size()) depths.resize(depth + 1, {0, 0, 0});
-    ++depths[depth][2];
-  }
-}
-
-void TerminationDetector::frame_popped(StageId stage, int group, Depth depth) {
-  stage_active_[stage].fetch_sub(1, std::memory_order_seq_cst);
-  if (group >= 0) {
-    std::lock_guard lock(group_mutex_);
-    auto& depths = group_counters_[static_cast<unsigned>(group)];
-    engine_check(depth < depths.size() && depths[depth][2] > 0,
-                 "frame_popped without matching push");
-    --depths[depth][2];
-  }
-}
-
-TermStatus TerminationDetector::build_status(Network& net) const {
-  TermStatus s;
+void TerminationDetector::build_status(Network& net) {
+  using L = Lane;
+  TermStatus& s = scratch_;
   s.idle = idle_.load(std::memory_order_seq_cst);
   // The fields are read one after another, not atomically together.
   // That is enough: a decision uses only stable statuses (two identical
@@ -84,18 +92,52 @@ TermStatus TerminationDetector::build_status(Network& net) const {
     const auto peer = static_cast<MachineId>(m);
     s.links[m] = {net.data_sent(self_, peer), inbox.delivered_from(peer)};
   }
-  s.stages.resize(num_stages_);
-  for (unsigned i = 0; i < num_stages_; ++i) {
-    s.stages[i] = {stage_sent_[i].load(std::memory_order_relaxed),
-                   stage_processed_[i].load(std::memory_order_relaxed),
-                   static_cast<std::uint64_t>(std::max<std::int64_t>(
-                       0, stage_active_[i].load(std::memory_order_seq_cst)))};
+  s.stages.assign(num_stages_, {0, 0, 0});
+  s.groups.resize(num_groups_);
+  for (auto& depths : s.groups) depths.clear();
+  // Active frames = pushed - popped, summed mod 2^64 in the third slot.
+  // Every popped counter is read (pass 1) before any pushed counter
+  // (pass 2). A lane pops only frames it pushed, and publishes each pop
+  // with a release store after the push, so each lane reads pushed >=
+  // popped and the sum can over-report active frames, never under-
+  // report them (DESIGN.md §5).
+  using Triple = std::array<std::uint64_t, 3>;
+  const auto over_lanes = [&](const auto& add) {
+    for (const auto& lane : lanes_) {
+      for (unsigned i = 0; i < num_stages_; ++i) {
+        add(s.stages[i], L::slot(lane->stages_.data(), i));
+      }
+      for (unsigned g = 0; g < num_groups_; ++g) {
+        auto& depths = s.groups[g];
+        const Depth extent =
+            lane->groups_[g].extent.load(std::memory_order_acquire);
+        if (depths.size() < extent) depths.resize(extent, {0, 0, 0});
+        lane->for_each_depth(g, extent, [&](Depth d, const L::Counters& c) {
+          add(depths[d], c);
+        });
+      }
+    }
+  };
+  over_lanes([](Triple& t, const L::Counters& c) {
+    t[2] -= L::read(c, L::kPopped);
+  });
+  over_lanes([](Triple& t, const L::Counters& c) {
+    t[0] += L::read(c, L::kSent);
+    t[1] += L::read(c, L::kProcessed);
+    t[2] += L::read(c, L::kPushed);
+  });
+}
+
+std::pair<std::uint64_t, std::uint64_t> TerminationDetector::stage_totals(
+    StageId stage) const {
+  std::uint64_t sent = 0;
+  std::uint64_t processed = 0;
+  for (const auto& lane : lanes_) {
+    const Lane::Counters& c = Lane::slot(lane->stages_.data(), stage);
+    sent += Lane::read(c, Lane::kSent);
+    processed += Lane::read(c, Lane::kProcessed);
   }
-  {
-    std::lock_guard lock(group_mutex_);
-    s.groups = group_counters_;
-  }
-  return s;
+  return {sent, processed};
 }
 
 namespace {
@@ -123,10 +165,9 @@ std::vector<std::byte> serialize_status(const TermStatus& s) {
   return out;
 }
 
-TermStatus deserialize_status(std::span<const std::byte> payload) {
-  BinaryReader r(payload);
-  TermStatus s;
-  s.seq = r.read_varint();
+/// Decodes everything after the sequence number into `s`, resizing its
+/// vectors in place so a recycled status keeps its capacity.
+void deserialize_counters(BinaryReader& r, TermStatus& s) {
   s.idle = r.read<std::uint8_t>() != 0;
   s.stages.resize(r.read_varint());
   for (auto& t : s.stages) {
@@ -143,20 +184,24 @@ TermStatus deserialize_status(std::span<const std::byte> payload) {
   for (auto& l : s.links) {
     for (auto& v : l) v = r.read_varint();
   }
-  return s;
 }
 
 }  // namespace
 
-void TerminationDetector::store_status(MachineId machine, TermStatus status) {
+template <class Fill>
+void TerminationDetector::store_status(MachineId machine, std::uint64_t seq,
+                                       Fill&& fill) {
   std::lock_guard lock(status_mutex_);
   auto& last = last_[machine];
   auto& prev = prev_[machine];
-  if (last && status.seq == last->seq) return;  // duplicate
-  if (prev && status.seq <= prev->seq) return;  // stale
-  if (!last || status.seq > last->seq) {
-    prev = std::move(last);
-    last = std::move(status);
+  if (last && seq == last->seq) return;  // duplicate
+  if (prev && seq <= prev->seq) return;  // stale
+  if (!last || seq > last->seq) {
+    // The status leaving the window lends its buffers to the new one.
+    std::swap(prev, last);
+    if (!last) last.emplace();
+    fill(*last);
+    last->seq = seq;
     return;
   }
   // Reordered but novel: newer than `prev` (or `prev` is empty) yet
@@ -166,29 +211,35 @@ void TerminationDetector::store_status(MachineId machine, TermStatus status) {
   // a sender whose final two (identical) statuses arrive inverted would
   // be judged unstable forever once it terminates and stops
   // broadcasting.
-  prev = std::move(status);
+  if (!prev) prev.emplace();
+  fill(*prev);
+  prev->seq = seq;
 }
 
 void TerminationDetector::on_status(const Message& msg) {
-  store_status(msg.header.src, deserialize_status(msg.payload));
+  BinaryReader r(msg.payload);
+  const std::uint64_t seq = r.read_varint();
+  store_status(msg.header.src, seq,
+               [&r](TermStatus& s) { deserialize_counters(r, s); });
 }
 
 void TerminationDetector::maybe_broadcast(Network& net, bool force) {
-  TermStatus status = build_status(net);
+  build_status(net);
   {
     std::lock_guard lock(status_mutex_);
     if (broadcast_valid_ && !force &&
-        status.counters_equal(last_broadcast_)) {
+        scratch_.counters_equal(last_broadcast_)) {
       return;
     }
-    status.seq = ++seq_;
-    last_broadcast_ = status;
+    scratch_.seq = ++seq_;
+    last_broadcast_ = scratch_;
     broadcast_valid_ = true;
   }
   broadcast_rounds_.fetch_add(1, std::memory_order_relaxed);
   // Record our own status as if received (uniform decision input).
-  store_status(self_, status);
-  const auto payload = serialize_status(status);
+  store_status(self_, scratch_.seq,
+               [this](TermStatus& s) { s = scratch_; });
+  const auto payload = serialize_status(scratch_);
   for (unsigned m = 0; m < num_machines_; ++m) {
     if (m == self_) continue;
     Message msg;
@@ -208,21 +259,20 @@ bool TerminationDetector::machine_stable(MachineId m) const {
 
 bool TerminationDetector::globally_terminated() const {
   std::lock_guard lock(status_mutex_);
-  std::vector<std::uint64_t> sent(num_stages_, 0);
-  std::vector<std::uint64_t> processed(num_stages_, 0);
-  std::uint64_t active = 0;
   for (unsigned m = 0; m < num_machines_; ++m) {
     if (!machine_stable(static_cast<MachineId>(m))) return false;
-    const TermStatus& s = *last_[m];
-    for (unsigned i = 0; i < s.stages.size() && i < num_stages_; ++i) {
-      sent[i] += s.stages[i][0];
-      processed[i] += s.stages[i][1];
-      active += s.stages[i][2];
-    }
   }
-  if (active != 0) return false;
   for (unsigned i = 0; i < num_stages_; ++i) {
-    if (sent[i] != processed[i]) return false;
+    std::uint64_t sent = 0;
+    std::uint64_t processed = 0;
+    for (unsigned m = 0; m < num_machines_; ++m) {
+      const auto& stages = last_[m]->stages;
+      if (i >= stages.size()) continue;
+      if (stages[i][2] != 0) return false;  // active frames
+      sent += stages[i][0];
+      processed += stages[i][1];
+    }
+    if (sent != processed) return false;
   }
   // Consistent cut: each machine's last status must count exactly the
   // data messages its peers' last statuses count as delivered from it.
@@ -345,11 +395,14 @@ std::optional<Depth> TerminationDetector::consensus_max_depth(
 }
 
 Depth TerminationDetector::local_max_depth(unsigned group) const {
-  std::lock_guard lock(group_mutex_);
-  if (group >= group_counters_.size() || group_counters_[group].empty()) {
-    return 0;
+  Depth extent = 0;
+  if (group < num_groups_) {
+    for (const auto& lane : lanes_) {
+      extent = std::max(
+          extent, lane->groups_[group].extent.load(std::memory_order_acquire));
+    }
   }
-  return static_cast<Depth>(group_counters_[group].size() - 1);
+  return extent == 0 ? 0 : extent - 1;
 }
 
 std::string TerminationDetector::debug_string() const {

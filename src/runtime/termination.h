@@ -2,7 +2,9 @@
 //
 // Each machine tracks, per stage: contexts sent, contexts processed, and
 // currently-active traversal frames; RPQ stage groups additionally track
-// the same triple per depth. Idle machines broadcast status messages (a
+// the same triple per depth. Each worker counts into its own lane
+// (frames pushed and popped rather than active frames), and a status sums
+// the lanes. Idle machines broadcast status messages (a
 // sequence number, the idle flag, and all counters). Termination is
 // decided purely from received statuses — no shared state — using the
 // classic two-wave stability argument: a stage is globally terminated
@@ -30,7 +32,9 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -62,14 +66,98 @@ struct TermStatus {
 
 class TerminationDetector {
  public:
-  TerminationDetector(MachineId self, unsigned num_machines,
-                      unsigned num_stages, unsigned num_groups);
+  /// One worker's §3.4 counters. Only its worker writes a lane, so an
+  /// update is a relaxed load plus a release store on memory no other
+  /// thread writes: no lock and no read-modify-write. build_status sums
+  /// the lanes (DESIGN.md §5). The lane is cache-line aligned, and so is
+  /// every counter block it owns, so workers never share a written line.
+  class alignas(64) Lane {
+   public:
+    Lane(unsigned num_stages, unsigned num_groups);
+    ~Lane();
+    Lane(const Lane&) = delete;
+    Lane& operator=(const Lane&) = delete;
 
-  // ---- counter updates (called by workers; thread-safe) ----
-  void note_sent(StageId stage, int group, Depth depth, std::uint64_t n);
-  void note_processed(StageId stage, int group, Depth depth, std::uint64_t n);
-  void frame_pushed(StageId stage, int group, Depth depth);
-  void frame_popped(StageId stage, int group, Depth depth);
+    void note_sent(StageId stage, int group, Depth depth, std::uint64_t n) {
+      add(stage, group, depth, kSent, n);
+    }
+    void note_processed(StageId stage, int group, Depth depth,
+                        std::uint64_t n) {
+      add(stage, group, depth, kProcessed, n);
+    }
+    void frame_pushed(StageId stage, int group, Depth depth) {
+      add(stage, group, depth, kPushed, 1);
+    }
+    void frame_popped(StageId stage, int group, Depth depth);
+
+   private:
+    friend class TerminationDetector;
+    enum Field : unsigned { kSent, kProcessed, kPushed, kPopped };
+    /// Monotonic counters of one stage, or of one (group, depth).
+    using Counters = std::array<std::atomic<std::uint64_t>, 4>;
+    struct alignas(64) Line {
+      Counters at[2]{};
+    };
+    /// Per-depth counters of one RPQ group: geometrically sized chunks
+    /// (chunk k holds kFirstChunk << k depths) that never move, so a
+    /// reader never sees a resize. The owner publishes a chunk and then
+    /// `extent` with release stores.
+    static constexpr Depth kFirstChunk = 32;
+    static constexpr unsigned kChunks = 28;  // covers every Depth value
+    struct Depths {
+      std::atomic<Depth> extent{0};  // depths touched: max depth + 1
+      std::array<std::atomic<Line*>, kChunks> chunks{};
+    };
+
+    static unsigned chunk_of(Depth depth) {
+      return static_cast<unsigned>(std::bit_width(depth / kFirstChunk + 1)) -
+             1;
+    }
+    static std::uint64_t chunk_size(unsigned k) {
+      return std::uint64_t{kFirstChunk} << k;
+    }
+    static Depth chunk_base(unsigned k) {
+      return static_cast<Depth>(chunk_size(k) - kFirstChunk);
+    }
+    static Counters& slot(Line* lines, std::size_t i) {
+      return lines[i / 2].at[i % 2];
+    }
+    static const Counters& slot(const Line* lines, std::size_t i) {
+      return lines[i / 2].at[i % 2];
+    }
+    static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n) {
+      c.store(c.load(std::memory_order_relaxed) + n,
+              std::memory_order_release);
+    }
+    static std::uint64_t read(const Counters& c, Field f) {
+      return c[f].load(std::memory_order_acquire);
+    }
+
+    void add(StageId stage, int group, Depth depth, Field f,
+             std::uint64_t n) {
+      bump(slot(stages_.data(), stage)[f], n);
+      if (group >= 0) bump(depth_counters(group, depth, f)[f], n);
+    }
+    /// Owner only: the counters of (group, depth), growing the chunks
+    /// first when `depth` is new (which a pop never is).
+    Counters& depth_counters(int group, Depth depth, Field f);
+    /// Reader: calls fn(depth, counters) for every depth below `extent`
+    /// (an extent this reader loaded from the group with acquire).
+    template <class Fn>
+    void for_each_depth(unsigned group, Depth extent, Fn&& fn) const;
+
+    std::vector<Line> stages_;
+    std::vector<Depths> groups_;
+  };
+
+  TerminationDetector(MachineId self, unsigned num_machines,
+                      unsigned num_stages, unsigned num_groups,
+                      unsigned num_lanes = 1);
+
+  /// Worker `w`'s counter lane (w < num_lanes). Counter updates go
+  /// through the lane, from its worker's thread only.
+  Lane& lane(unsigned w) { return *lanes_[w]; }
+
   void set_idle(bool idle) {
     idle_.store(idle, std::memory_order_seq_cst);
   }
@@ -79,6 +167,8 @@ class TerminationDetector {
   void on_status(const Message& msg);
   /// Broadcasts the current status when it changed, or unconditionally
   /// when `force` (periodic re-confirmation providing the second wave).
+  /// One thread at a time. An unchanged, unforced round allocates
+  /// nothing: the status is built into a reused scratch buffer.
   void maybe_broadcast(Network& net, bool force);
 
   // ---- decisions (computed from received statuses only) ----
@@ -98,10 +188,7 @@ class TerminationDetector {
 
   /// Per-stage (sent, processed) remote-context totals of this machine —
   /// feeds the EXPLAIN ANALYZE stage breakdown.
-  std::pair<std::uint64_t, std::uint64_t> stage_totals(StageId stage) const {
-    return {stage_sent_[stage].load(std::memory_order_relaxed),
-            stage_processed_[stage].load(std::memory_order_relaxed)};
-  }
+  std::pair<std::uint64_t, std::uint64_t> stage_totals(StageId stage) const;
 
   /// Status broadcasts this machine actually sent (suppressed no-change
   /// rounds excluded) — the §3.4 protocol-chatter metric the profiler
@@ -111,8 +198,14 @@ class TerminationDetector {
   }
 
  private:
-  TermStatus build_status(Network& net) const;
-  void store_status(MachineId machine, TermStatus status);
+  friend class TerminationDetectorTestPeer;
+
+  /// Sums the lanes into `scratch_`, keeping its capacity.
+  void build_status(Network& net);
+  /// Files status `seq` of `machine` unless it is a duplicate or stale;
+  /// `fill` writes its counters into a recycled TermStatus.
+  template <class Fill>
+  void store_status(MachineId machine, std::uint64_t seq, Fill&& fill);
   bool machine_stable(MachineId m) const;  // two identical statuses
 
   MachineId self_;
@@ -120,13 +213,10 @@ class TerminationDetector {
   unsigned num_stages_;
   unsigned num_groups_;
 
-  // Live counters.
-  std::vector<std::atomic<std::uint64_t>> stage_sent_;
-  std::vector<std::atomic<std::uint64_t>> stage_processed_;
-  std::vector<std::atomic<std::int64_t>> stage_active_;
-  mutable std::mutex group_mutex_;
-  std::vector<std::vector<std::array<std::uint64_t, 3>>> group_counters_;
+  // Live counters, one single-writer lane per worker.
+  std::vector<std::unique_ptr<Lane>> lanes_;
   std::atomic<bool> idle_{false};
+  TermStatus scratch_;  // build_status output, reused every round
 
   // Received statuses: last two per machine.
   mutable std::mutex status_mutex_;

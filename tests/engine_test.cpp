@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "api/rpqd.h"
+#include "baseline/reference.h"
 #include "ldbc/synthetic.h"
 
 namespace rpqd {
@@ -28,6 +29,30 @@ TEST(Engine, ChainUnboundedPlus) {
   Database db(synthetic::make_chain(10), 3, test_config());
   // 9+8+...+1 ordered reachable pairs.
   EXPECT_EQ(count(db, "SELECT COUNT(*) FROM MATCH (a) -/:next+/-> (b)"), 45u);
+}
+
+TEST(Engine, DeepChainConsensusDepthMatchesReference) {
+  // 320 vertices on 4 machines: every start walks up to 319 hops, so the
+  // §3.4 per-depth counters grow through several lane chunks while the
+  // walk crosses machines, and the consensus must still land on the
+  // deepest depth any machine touched.
+  constexpr std::size_t kLength = 320;
+  const std::string q =
+      "SELECT COUNT(*) FROM MATCH (a:Person) -/:knows+/-> (b:Person)";
+  Database db(synthetic::make_chain(kLength, "Person", "knows"), 4,
+              test_config());
+  const QueryResult r = db.query(q);
+  EXPECT_EQ(r.count,
+            baseline::reference_evaluate(
+                q, synthetic::make_chain(kLength, "Person", "knows"))
+                .count);
+  EXPECT_EQ(r.count, kLength * (kLength - 1) / 2);
+  ASSERT_EQ(r.stats.rpq.size(), 1u);
+  const RpqStageStats& rpq = r.stats.rpq[0];
+  ASSERT_TRUE(rpq.consensus_max_depth.has_value());
+  EXPECT_EQ(*rpq.consensus_max_depth, kLength - 1);
+  EXPECT_EQ(rpq.max_depth_observed, kLength - 1);
+  EXPECT_EQ(rpq.index_duplicate_entries, 0u);
 }
 
 TEST(Engine, ChainStarIncludesZeroHop) {

@@ -3,12 +3,48 @@
 #include "common/error.h"
 #include <gtest/gtest.h>
 
+#include <random>
 #include <thread>
 
+#include "common/hash.h"
 #include "rpq/reach_index.h"
 #include "rpq/rpid.h"
 
 namespace rpqd {
+
+// Plants extra copies of a stored key, which the claim protocol never
+// makes, so the duplicate audit has something to find.
+class ReachabilityIndexTestPeer {
+ public:
+  /// Copies (dst, rpid) into a free slot of its probe window: in the
+  /// head segment after the stored copy, or in the segment chained
+  /// behind the head (chained first when missing).
+  static void plant_copy(ReachabilityIndex& idx, LocalVertexId dst,
+                         std::uint64_t rpid, bool chained) {
+    using Index = ReachabilityIndex;
+    Index::Shard& shard = idx.shards_[mix64(dst) & idx.shard_mask_];
+    Index::Segment* head = shard.head.load();
+    const std::uint64_t hash = Index::slot_hash(dst, rpid);
+    const std::uint64_t ready = (std::uint64_t{dst} << 2) | 2;
+    const Index::Entry* stored = Index::first_match(head, ready, rpid);
+    ASSERT_NE(stored, nullptr);
+    Index::Segment* seg = chained ? idx.next_segment(head, shard) : head;
+    Index::Entry* entries = seg->entries();
+    bool past_stored = chained;
+    for (std::size_t probe = 0; probe < 16; ++probe) {
+      Index::Entry& e = entries[(hash + probe) & (seg->capacity - 1)];
+      if (&e == stored) past_stored = true;
+      if (!past_stored || e.ctrl.load() != 0) continue;
+      e.rpid.store(rpid);
+      e.depth.store(stored->depth.load());
+      e.ctrl.store(ready);
+      shard.entries.fetch_add(1);
+      return;
+    }
+    FAIL() << "no free slot in the probe window";
+  }
+};
+
 namespace {
 
 TEST(Rpid, EncodingRoundTrip) {
@@ -160,6 +196,38 @@ TEST(ReachIndex, ConcurrentDepthRace) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(*idx.lookup(0, 7), 1u);
+}
+
+TEST(ReachIndex, DuplicateAuditCountsPlantedCopies) {
+  // One shard, so the key under audit shares its probe windows with the
+  // clean fill around it.
+  ReachabilityIndex idx(64, /*preallocate=*/false, /*num_shards=*/1);
+  std::mt19937_64 rng(11);
+  for (int i = 0; i < 40; ++i) {
+    idx.check_and_update(static_cast<LocalVertexId>(rng() % 64), rng(),
+                         static_cast<Depth>(rng() % 5));
+  }
+  idx.check_and_update(5, 77, 2);
+  EXPECT_EQ(idx.duplicate_entries(), 0u);
+  ReachabilityIndexTestPeer::plant_copy(idx, 5, 77, /*chained=*/false);
+  EXPECT_EQ(idx.duplicate_entries(), 1u);
+  ReachabilityIndexTestPeer::plant_copy(idx, 5, 77, /*chained=*/true);
+  EXPECT_EQ(idx.duplicate_entries(), 2u);
+}
+
+TEST(ReachIndex, DuplicateAuditIsZeroOnARandomFill) {
+  // Random keys across shards, with repeats and growth into chained
+  // segments: the claim protocol stores each key once.
+  for (const bool preallocate : {false, true}) {
+    ReachabilityIndex idx(256, preallocate, /*num_shards=*/4);
+    std::mt19937_64 rng(29);
+    for (int i = 0; i < 20000; ++i) {
+      idx.check_and_update(static_cast<LocalVertexId>(rng() % 256),
+                           rng() % 64, static_cast<Depth>(rng() % 8));
+    }
+    EXPECT_GT(idx.stats().entries, 10000u);
+    EXPECT_EQ(idx.duplicate_entries(), 0u) << "preallocate=" << preallocate;
+  }
 }
 
 }  // namespace

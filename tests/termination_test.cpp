@@ -3,9 +3,23 @@
 // the max-observed-depth consensus for unbounded RPQs.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
+#include "common/error.h"
 #include "runtime/termination.h"
 
 namespace rpqd {
+
+// Builds a status the way a broadcast does, without sending it.
+class TerminationDetectorTestPeer {
+ public:
+  static const TermStatus& build(TerminationDetector& d, Network& net) {
+    d.build_status(net);
+    return d.scratch_;
+  }
+};
+
 namespace {
 
 // Delivers every queued termination message on `net` into the detectors.
@@ -46,7 +60,7 @@ TEST(Termination, InFlightMessageBlocksTermination) {
   Network net(2);
   TerminationDetector d0(0, 2, 1, 0);
   TerminationDetector d1(1, 2, 1, 0);
-  d0.note_sent(0, -1, 0, 3);  // 3 contexts sent, never processed
+  d0.lane(0).note_sent(0, -1, 0, 3);  // 3 contexts sent, never processed
   d0.set_idle(true);
   d1.set_idle(true);
   for (int i = 0; i < 3; ++i) {
@@ -57,7 +71,7 @@ TEST(Termination, InFlightMessageBlocksTermination) {
   EXPECT_FALSE(d0.globally_terminated());
   EXPECT_FALSE(d1.globally_terminated());
   // The receiver processes them: now both must converge.
-  d1.note_processed(0, -1, 0, 3);
+  d1.lane(0).note_processed(0, -1, 0, 3);
   for (int i = 0; i < 3; ++i) {
     d0.maybe_broadcast(net, true);
     d1.maybe_broadcast(net, true);
@@ -87,12 +101,12 @@ TEST(Termination, StaleStablePeerCannotHideLiveWork) {
     msg.header.count = 1;
     net.send(to, std::move(msg));
   };
-  d1.note_sent(0, -1, 0, 1);
+  d1.lane(0).note_sent(0, -1, 0, 1);
   send_data(1, 0);
-  d0.note_processed(0, -1, 0, 1);
-  d0.note_sent(0, -1, 0, 1);
+  d0.lane(0).note_processed(0, -1, 0, 1);
+  d0.lane(0).note_sent(0, -1, 0, 1);
   send_data(0, 2);
-  d2.note_processed(0, -1, 0, 1);
+  d2.lane(0).note_processed(0, -1, 0, 1);
   for (int i = 0; i < 2; ++i) {
     d1.maybe_broadcast(net, true);
     d2.maybe_broadcast(net, true);
@@ -112,12 +126,12 @@ TEST(Termination, StaleStablePeerCannotHideLiveWork) {
 TEST(Termination, ActiveFramesBlockTermination) {
   Network net(1);
   TerminationDetector d(0, 1, 2, 0);
-  d.frame_pushed(1, -1, 0);
+  d.lane(0).frame_pushed(1, -1, 0);
   d.set_idle(true);  // (idle flag lies; frames are authoritative too)
   d.maybe_broadcast(net, true);
   d.maybe_broadcast(net, true);
   EXPECT_FALSE(d.globally_terminated());
-  d.frame_popped(1, -1, 0);
+  d.lane(0).frame_popped(1, -1, 0);
   d.maybe_broadcast(net, true);
   d.maybe_broadcast(net, true);
   EXPECT_TRUE(d.globally_terminated());
@@ -129,8 +143,8 @@ TEST(Termination, CounterChangeResetsStability) {
   d.set_idle(true);
   d.maybe_broadcast(net, true);
   // Activity between waves: counters change, stability must restart.
-  d.note_sent(0, -1, 0, 1);
-  d.note_processed(0, -1, 0, 1);
+  d.lane(0).note_sent(0, -1, 0, 1);
+  d.lane(0).note_processed(0, -1, 0, 1);
   d.maybe_broadcast(net, true);
   EXPECT_FALSE(d.globally_terminated());
   d.maybe_broadcast(net, true);
@@ -141,13 +155,13 @@ TEST(Termination, StagePrefixAdvancesIncrementally) {
   Network net(1);
   TerminationDetector d(0, 1, 3, 0);
   // Stage 2 still has an active frame; stages 0-1 are quiet.
-  d.frame_pushed(2, -1, 0);
+  d.lane(0).frame_pushed(2, -1, 0);
   d.set_idle(false);
   d.maybe_broadcast(net, true);
   d.maybe_broadcast(net, true);
   EXPECT_EQ(d.terminated_stage_prefix(), 2u);
   EXPECT_FALSE(d.globally_terminated());
-  d.frame_popped(2, -1, 0);
+  d.lane(0).frame_popped(2, -1, 0);
   d.set_idle(true);
   d.maybe_broadcast(net, true);
   d.maybe_broadcast(net, true);
@@ -158,15 +172,15 @@ TEST(Termination, DepthTerminationRequiresAllShallowerDepths) {
   Network net(1);
   TerminationDetector d(0, 1, 3, 1);
   // Depth 2 quiet, depth 1 has an unprocessed send.
-  d.note_sent(1, 0, 1, 2);
-  d.note_sent(1, 0, 2, 1);
-  d.note_processed(1, 0, 2, 1);
+  d.lane(0).note_sent(1, 0, 1, 2);
+  d.lane(0).note_sent(1, 0, 2, 1);
+  d.lane(0).note_processed(1, 0, 2, 1);
   d.maybe_broadcast(net, true);
   d.maybe_broadcast(net, true);
   EXPECT_TRUE(d.depth_terminated(0, 0));
   EXPECT_FALSE(d.depth_terminated(0, 1));
   EXPECT_FALSE(d.depth_terminated(0, 2));  // blocked by depth 1
-  d.note_processed(1, 0, 1, 2);
+  d.lane(0).note_processed(1, 0, 1, 2);
   d.maybe_broadcast(net, true);
   d.maybe_broadcast(net, true);
   EXPECT_TRUE(d.depth_terminated(0, 2));
@@ -177,10 +191,10 @@ TEST(Termination, ConsensusMaxDepthAcrossMachines) {
   TerminationDetector d0(0, 2, 2, 1);
   TerminationDetector d1(1, 2, 2, 1);
   // Machine 0 saw depth 3, machine 1 saw depth 5 (all work processed).
-  d0.note_sent(1, 0, 3, 1);
-  d0.note_processed(1, 0, 3, 1);
-  d1.note_sent(1, 0, 5, 1);
-  d1.note_processed(1, 0, 5, 1);
+  d0.lane(0).note_sent(1, 0, 3, 1);
+  d0.lane(0).note_processed(1, 0, 3, 1);
+  d1.lane(0).note_sent(1, 0, 5, 1);
+  d1.lane(0).note_processed(1, 0, 5, 1);
   d0.set_idle(true);
   d1.set_idle(true);
   EXPECT_FALSE(d0.consensus_max_depth(0).has_value());
@@ -254,9 +268,9 @@ TEST(Termination, ReorderedAndReplayedStatusesAreSafe) {
   d1.set_idle(true);
   // d1's history: wave A with an unprocessed send, then processed, then
   // waves B and C (stable counters).
-  d1.note_sent(0, -1, 0, 1);
+  d1.lane(0).note_sent(0, -1, 0, 1);
   d1.maybe_broadcast(net, true);  // A: sent=1 processed=0
-  d1.note_processed(0, -1, 0, 1);
+  d1.lane(0).note_processed(0, -1, 0, 1);
   d1.maybe_broadcast(net, true);  // B: sent=1 processed=1
   d1.maybe_broadcast(net, true);  // C: identical to B
   std::vector<Message> captured;
@@ -291,6 +305,99 @@ TEST(Termination, BroadcastSkippedWhenUnchangedAndNotForced) {
   EXPECT_EQ(net.counters().term_messages, 1u);
   d0.maybe_broadcast(net, true);  // forced: second wave
   EXPECT_EQ(net.counters().term_messages, 2u);
+}
+
+TEST(Termination, LanesSumExactlyAcrossWorkers) {
+  // Four workers push, send, process and pop frames of one RPQ group at
+  // depths up to 5000, growing each lane through several chunks, while a
+  // fifth thread sums the lanes into statuses. Each worker keeps one
+  // frame pinned at stage 0 / depth 0 throughout, so every status must
+  // read exactly four active frames there.
+  constexpr unsigned kWorkers = 4;
+  constexpr Depth kMaxDepth = 5000;
+  constexpr unsigned kRounds = 6;
+  Network net(1);
+  TerminationDetector d(0, 1, 2, 1, kWorkers);
+  std::atomic<unsigned> running{kWorkers};
+  std::vector<std::thread> workers;
+  for (unsigned w = 0; w < kWorkers; ++w) {
+    d.lane(w).frame_pushed(0, 0, 0);
+  }
+  for (unsigned w = 0; w < kWorkers; ++w) {
+    workers.emplace_back([&d, &running, w] {
+      TerminationDetector::Lane& lane = d.lane(w);
+      for (unsigned round = 0; round < kRounds; ++round) {
+        // Rounds alternate between the full depth and a shallow walk, so
+        // the low depths see more traffic than the high ones.
+        const Depth top = round % 2 == 0 ? kMaxDepth : 40 + w;
+        for (Depth depth = 1; depth <= top; ++depth) {
+          lane.frame_pushed(1, 0, depth);
+          lane.note_sent(1, 0, depth, 1);
+        }
+        for (Depth depth = top; depth >= 1; --depth) {
+          lane.note_processed(1, 0, depth, 1);
+          lane.frame_popped(1, 0, depth);
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  std::uint64_t statuses = 0;
+  std::thread reader([&] {
+    while (running.load() > 0) {
+      const TermStatus& s = TerminationDetectorTestPeer::build(d, net);
+      ++statuses;
+      // Pops read before pushes may over-report by what was pushed in
+      // between, never past every push of the test; a lane read as more
+      // popped than pushed wraps far beyond that.
+      EXPECT_EQ(s.stages[0][2], kWorkers);
+      EXPECT_LE(s.stages[1][2], std::uint64_t{kWorkers} * kRounds * kMaxDepth);
+      ASSERT_EQ(s.groups.size(), 1u);
+      ASSERT_FALSE(s.groups[0].empty());
+      EXPECT_EQ(s.groups[0][0][2], kWorkers);
+      for (std::size_t depth = 1; depth < s.groups[0].size(); ++depth) {
+        ASSERT_LE(s.groups[0][depth][2], kWorkers * kRounds)
+            << "depth " << depth;
+      }
+    }
+  });
+  for (auto& t : workers) t.join();
+  reader.join();
+  EXPECT_GT(statuses, 0u);
+  for (unsigned w = 0; w < kWorkers; ++w) d.lane(w).frame_popped(0, 0, 0);
+
+  const TermStatus& s = TerminationDetectorTestPeer::build(d, net);
+  constexpr std::uint64_t kDeepRounds = (kRounds + 1) / 2;
+  std::uint64_t stage_sent = 0;
+  for (unsigned w = 0; w < kWorkers; ++w) {
+    stage_sent += kDeepRounds * kMaxDepth + (kRounds - kDeepRounds) * (40 + w);
+  }
+  EXPECT_EQ(s.stages[0], (std::array<std::uint64_t, 3>{0, 0, 0}));
+  EXPECT_EQ(s.stages[1],
+            (std::array<std::uint64_t, 3>{stage_sent, stage_sent, 0}));
+  ASSERT_EQ(s.groups[0].size(), kMaxDepth + 1);
+  EXPECT_EQ(s.groups[0][0], (std::array<std::uint64_t, 3>{0, 0, 0}));
+  for (Depth depth = 1; depth <= kMaxDepth; ++depth) {
+    std::uint64_t per_depth = kWorkers * kDeepRounds;
+    for (unsigned w = 0; w < kWorkers; ++w) {
+      if (depth <= 40 + w) per_depth += kRounds - kDeepRounds;
+    }
+    ASSERT_EQ(s.groups[0][depth],
+              (std::array<std::uint64_t, 3>{per_depth, per_depth, 0}))
+        << "depth " << depth;
+  }
+  EXPECT_EQ(d.local_max_depth(0), kMaxDepth);
+  EXPECT_EQ(d.stage_totals(1),
+            (std::pair<std::uint64_t, std::uint64_t>{stage_sent, stage_sent}));
+}
+
+TEST(Termination, PopWithoutPushIsRejected) {
+  TerminationDetector d(0, 1, 2, 1, 2);
+  d.lane(0).frame_pushed(1, 0, 3);
+  // Another lane's push does not balance this lane's pop.
+  EXPECT_THROW(d.lane(1).frame_popped(1, 0, 3), EngineError);
+  d.lane(0).frame_popped(1, 0, 3);
+  EXPECT_THROW(d.lane(0).frame_popped(1, 0, 3), EngineError);
 }
 
 }  // namespace
